@@ -37,12 +37,14 @@ lint:
 	done; [ $$bad -eq 0 ] || { echo "lint: unprotected Mutex.lock in lib/"; exit 1; }
 	@echo "lint: ok"
 
-# what CI runs: full build, test suite, and a CLI smoke pass
-# (list + one validated layout + a malformed spec that must fail +
-# the --json/bench-emit telemetry surfaces, which self-validate)
+# what CI runs: full build, test suite, the benchmark's smoke test,
+# and a CLI smoke pass (list + one validated layout + a malformed spec
+# that must fail + the --json/bench-emit telemetry surfaces, which
+# self-validate)
 check: lint
 	dune build @all
 	dune runtest
+	python3 perfbench/test_smoke.py
 	dune exec bin/mvl_cli.exe -- list > /dev/null
 	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --validate
 	! dune exec bin/mvl_cli.exe -- layout hypercube:abc -l 4 2> /dev/null

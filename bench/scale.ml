@@ -2,7 +2,8 @@
 
    Constructs and fully verifies (strict model) a grid of large
    instances, recording per-record wall times, a per-phase breakdown of
-   layout construction ({!Layout_profile}), verify throughput in
+   construction ({!Layout_profile}: place and pack run in the build,
+   terminals, emit and build in the layout), verify throughput in
    segments per second, layout metrics against the paper's closed-form
    leading terms, and the process peak RSS (VmHWM) after each record.
    Results land in BENCH_layout.json (schema mvl.bench.layout/1) via
@@ -14,8 +15,11 @@
    as the memory gate: that record must verify with zero violations and
    the peak RSS afterwards must stay under 4 GiB.  hypercube:17 earlier
    in the grid is the timing gate: its build + layout wall time must
-   stay under 3.7 s.  Either gate failing exits non-zero.  `--quick`
-   swaps in a small grid for CI smoke and skips both gates.
+   stay under 3.7 s.  The linearity gate holds verification to
+   near-linear cost: hypercube:18's verify throughput (segments per
+   second) must be at least half of hypercube:12's, over a 96x range of
+   segment counts.  Any gate failing exits non-zero.  `--quick` swaps in
+   a small grid for CI smoke and skips the gates.
 
    Layout construction shards wire emission over `--jobs` domains
    (Families.layout_jobs); the geometry is byte-identical at every job
@@ -38,6 +42,11 @@ let gate_limit_kib = 4 * 1024 * 1024 (* 4 GiB *)
 let time_gate_spec = "hypercube:17"
 
 let time_gate_limit_s = 3.7 (* build + layout *)
+
+(* verify seg/s of [gate_spec] must reach this share of [linear_base]'s *)
+let linear_base = "hypercube:12"
+
+let linear_min_ratio = 0.5
 
 let quick_grid = [ ("hypercube:10", 4); ("kary:4:5", 4); ("hypercube:12", 4) ]
 
@@ -116,10 +125,21 @@ let stable_record = function
         (List.filter (fun (k, _) -> not (volatile_key k)) fields)
   | j -> j
 
+(* what the gates read from one record *)
+type outcome = {
+  spec : string;
+  violations : int;
+  peak_kib : int;
+  construct_s : float; (* build + layout *)
+  verify_seg_per_s : float;
+}
+
 let record ~jobs (spec_str, layers) =
   let spec = Mvl.Registry.spec_exn spec_str in
-  let fam, build_s = time (fun () -> Mvl.Registry.build_exn spec) in
+  (* reset before the build: Registry.build runs the orthogonal
+     placement and track packing, so place and pack are timed there *)
   Mvl.Layout_profile.reset ();
+  let fam, build_s = time (fun () -> Mvl.Registry.build_exn spec) in
   let layout, layout_s =
     time (fun () -> fam.Mvl.Families.layout_jobs ~jobs ~layers)
   in
@@ -169,16 +189,23 @@ let record ~jobs (spec_str, layers) =
     | None -> fields
   in
   Printf.printf
-    "  %-14s L=%d  N=%-6d  build %.2fs  layout %.2fs (place %.2f pack %.2f \
-     term %.2f emit %.2f)  verify %.2fs  (%.2e seg/s)  violations=%d  peak=%d \
+    "  %-14s L=%d  N=%-6d  build %.2fs (place %.2f pack %.2f)  layout %.2fs \
+     (term %.2f emit %.2f)  verify %.2fs  (%.2e seg/s)  violations=%d  peak=%d \
      KiB\n\
      %!"
-    spec_str layers fam.Mvl.Families.n_nodes build_s layout_s
+    spec_str layers fam.Mvl.Families.n_nodes build_s
     phases.Mvl.Layout_profile.place_seconds
-    phases.Mvl.Layout_profile.pack_seconds
+    phases.Mvl.Layout_profile.pack_seconds layout_s
     phases.Mvl.Layout_profile.terminals_seconds
     phases.Mvl.Layout_profile.emit_seconds verify_s seg_per_s violations peak;
-  (Obj fields, (spec_str, violations, peak, build_s +. layout_s))
+  ( Obj fields,
+    {
+      spec = spec_str;
+      violations;
+      peak_kib = peak;
+      construct_s = build_s +. layout_s;
+      verify_seg_per_s = seg_per_s;
+    } )
 
 let write path ~quick records =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
@@ -261,48 +288,68 @@ let run ?(path = default_path) ?(quick = false) ?(jobs = 1) ?(stable = false)
   write path ~quick records;
   read_back path ~stable (List.length records);
   Printf.printf "wrote %s: %d records\n%!" path (List.length records);
-  let failures =
-    List.filter (fun (_, (_, violations, _, _)) -> violations <> 0) out
-  in
+  let outcomes = List.map snd out in
+  let failures = List.filter (fun o -> o.violations <> 0) outcomes in
   List.iter
-    (fun (_, (spec, violations, _, _)) ->
+    (fun o ->
       Printf.eprintf "bench scale: %s FAILED verification (%d violations)\n"
-        spec violations)
+        o.spec o.violations)
     failures;
-  let find spec = List.find_opt (fun (_, (s, _, _, _)) -> s = spec) out in
-  let mem_gate_failed =
-    if quick then false
-    else
-      match find gate_spec with
-      | None ->
-          Printf.eprintf "bench scale: gate instance %s missing from grid\n"
-            gate_spec;
-          true
-      | Some (_, (_, violations, peak, _)) ->
-          let mem_ok = peak > 0 && peak < gate_limit_kib in
-          Printf.printf
-            "gate %s: violations=%d  peak=%d KiB (limit %d KiB)  %s\n%!"
-            gate_spec violations peak gate_limit_kib
-            (if violations = 0 && mem_ok then "PASS" else "FAIL");
-          not (violations = 0 && mem_ok)
+  let find spec =
+    match List.find_opt (fun o -> o.spec = spec) outcomes with
+    | None ->
+        Printf.eprintf "bench scale: gate instance %s missing from grid\n"
+          spec;
+        None
+    | found -> found
   in
-  let time_gate_failed =
-    if quick then false
-    else
-      match find time_gate_spec with
-      | None ->
-          Printf.eprintf
-            "bench scale: timing gate instance %s missing from grid\n"
-            time_gate_spec;
-          true
-      | Some (_, (_, _, _, construct_s)) ->
-          let ok = construct_s <= time_gate_limit_s in
-          Printf.printf "gate %s: build+layout %.2fs (limit %.2fs)  %s\n%!"
-            time_gate_spec construct_s time_gate_limit_s
-            (if ok then "PASS" else "FAIL");
-          not ok
+  let pass ok = if ok then "PASS" else "FAIL" in
+  let mem_gate_ok () =
+    match find gate_spec with
+    | None -> false
+    | Some o ->
+        let ok =
+          o.violations = 0 && o.peak_kib > 0 && o.peak_kib < gate_limit_kib
+        in
+        Printf.printf
+          "gate %s: violations=%d  peak=%d KiB (limit %d KiB)  %s\n%!"
+          gate_spec o.violations o.peak_kib gate_limit_kib (pass ok);
+        ok
   in
-  if failures <> [] || mem_gate_failed || time_gate_failed then exit 1
+  let time_gate_ok () =
+    match find time_gate_spec with
+    | None -> false
+    | Some o ->
+        let ok = o.construct_s <= time_gate_limit_s in
+        Printf.printf "gate %s: build+layout %.2fs (limit %.2fs)  %s\n%!"
+          time_gate_spec o.construct_s time_gate_limit_s (pass ok);
+        ok
+  in
+  let linear_gate_ok () =
+    match (find linear_base, find gate_spec) with
+    | Some base, Some top ->
+        let ok =
+          top.verify_seg_per_s >= linear_min_ratio *. base.verify_seg_per_s
+        in
+        Printf.printf
+          "gate linearity: %s verify %.2e seg/s vs %s %.2e seg/s (need >= \
+           %.2fx)  %s\n\
+           %!"
+          gate_spec top.verify_seg_per_s linear_base base.verify_seg_per_s
+          linear_min_ratio (pass ok);
+        ok
+    | _ -> false
+  in
+  (* every gate runs (and prints) even after another one fails *)
+  let gates_ok =
+    quick
+    ||
+    let mem = mem_gate_ok () in
+    let time = time_gate_ok () in
+    let linear = linear_gate_ok () in
+    mem && time && linear
+  in
+  if failures <> [] || not gates_ok then exit 1
 
 let run_cli args =
   let usage () =

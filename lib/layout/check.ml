@@ -44,6 +44,7 @@ type runs = {
   lo : int array;
   hi : int array;
   wire : int array;
+  reach : int array; (* running max of [hi] within the (k1, k2) group *)
 }
 (* every segment extremity is a polyline vertex where the wire bends or
    terminates, so for Thompson-mode crossings only strict interior
@@ -67,41 +68,83 @@ let lb_gt (a : int array) l0 r0 v =
   done;
   !l
 
-(* distinct k1 values of a sorted [runs] with their slice boundaries, so
-   (k1, k2) group lookups narrow to a k1 bucket first and then search on
-   k2 alone — one array read per probe instead of two *)
-type zindex = { zs : int array; bstart : int array (* length zs+1 *) }
+(* Stabbing query on a slice [s, e) sorted by span start [lo], with
+   [reach] the running max of the span ends: the index range
+   [first, stop) holding every entry whose span meets [qlo, qhi].  The
+   entries starting at or before qhi are the prefix [s, stop), and the
+   ones before [first] end short of qlo; entries inside the range with
+   [hi < qlo] do not meet the query and callers skip them.  Two binary
+   searches, so a query costs O(log) plus the entries it returns
+   instead of a walk over the whole slice. *)
+let stab ~(lo : int array) ~(reach : int array) s e qlo qhi =
+  let stop = lb_gt lo s e qhi in
+  (lb_ge reach s stop qlo, stop)
+
+(* Distinct k1 values of a sorted [runs] with their slice boundaries,
+   and under each bucket its distinct (k1, k2) lines with theirs.  A k1
+   bucket narrows a crossing band to one layer; a group lookup
+   binary-searches the bucket's line keys, a compact array that stays in
+   cache where a search over the runs' own k2 column misses on most
+   probes. *)
+type zindex = {
+  zs : int array;
+  bstart : int array; (* entry index of each bucket, length zs+1 *)
+  lfirst : int array; (* first line of each bucket, length zs+1 *)
+  lkey : int array; (* k2 of each line *)
+  lstart : int array; (* entry index of each line, length lines+1 *)
+}
 
 let zindex_of (r : runs) =
-  let nz = ref 0 in
+  let new_z i = i = 0 || r.k1.(i) <> r.k1.(i - 1) in
+  let new_line i = new_z i || r.k2.(i) <> r.k2.(i - 1) in
+  let nz = ref 0 and nl = ref 0 in
   for i = 0 to r.n - 1 do
-    if i = 0 || r.k1.(i) <> r.k1.(i - 1) then incr nz
+    if new_z i then incr nz;
+    if new_line i then incr nl
   done;
   let zs = Array.make (max 1 !nz) 0 in
   let bstart = Array.make (!nz + 1) r.n in
-  let j = ref 0 in
+  let lfirst = Array.make (!nz + 1) !nl in
+  let lkey = Array.make (max 1 !nl) 0 in
+  let lstart = Array.make (!nl + 1) r.n in
+  let z = ref 0 and l = ref 0 in
   for i = 0 to r.n - 1 do
-    if i = 0 || r.k1.(i) <> r.k1.(i - 1) then begin
-      zs.(!j) <- r.k1.(i);
-      bstart.(!j) <- i;
-      incr j
+    if new_z i then begin
+      zs.(!z) <- r.k1.(i);
+      bstart.(!z) <- i;
+      lfirst.(!z) <- !l;
+      incr z
+    end;
+    if new_line i then begin
+      lkey.(!l) <- r.k2.(i);
+      lstart.(!l) <- i;
+      incr l
     end
   done;
-  { zs; bstart }
+  { zs; bstart; lfirst; lkey; lstart }
+
+(* the bucket number of k1, or -1 when k1 is absent *)
+let zfind zi k1 =
+  let nz = Array.length zi.bstart - 1 in
+  let p = lb_ge zi.zs 0 nz k1 in
+  if p < nz && zi.zs.(p) = k1 then p else -1
 
 (* the k1 bucket as (start, stop), or (0, 0) when k1 is absent *)
 let zbucket zi k1 =
-  let nz = Array.length zi.bstart - 1 in
-  let p = lb_ge zi.zs 0 nz k1 in
-  if p < nz && zi.zs.(p) = k1 then (zi.bstart.(p), zi.bstart.(p + 1))
-  else (0, 0)
+  let p = zfind zi k1 in
+  if p >= 0 then (zi.bstart.(p), zi.bstart.(p + 1)) else (0, 0)
 
-(* the contiguous slice [start, stop) holding group (k1, k2) *)
-let group_range (r : runs) zi k1 k2 =
-  let s, e = zbucket zi k1 in
-  let start = lb_ge r.k2 s e k2 in
-  let stop = lb_gt r.k2 start e k2 in
-  (start, stop)
+(* the contiguous slice [start, stop) holding group (k1, k2), empty when
+   no run lies on that line *)
+let group_range zi k1 k2 =
+  let p = zfind zi k1 in
+  if p >= 0 then begin
+    let e = zi.lfirst.(p + 1) in
+    let l = lb_ge zi.lkey zi.lfirst.(p) e k2 in
+    if l < e && zi.lkey.(l) = k2 then (zi.lstart.(l), zi.lstart.(l + 1))
+    else (0, 0)
+  end
+  else (0, 0)
 
 type indexes = {
   h_runs : runs; (* k1 = z, k2 = y, lo/hi = x span *)
@@ -119,6 +162,7 @@ let make_runs n =
     lo = Array.make (max 1 n) 0;
     hi = Array.make (max 1 n) 0;
     wire = Array.make (max 1 n) 0;
+    reach = [||] (* filled by [sort_runs] *);
   }
 
 let bits_for range =
@@ -128,63 +172,70 @@ let bits_for range =
   done;
   !b
 
-(* Sort non-negative packed keys, returning the sorted array (the input
-   or a scratch buffer).  LSD radix in 16-bit digits: linear passes beat
-   a comparison sort well before 10^5 entries, and packed keys make the
-   digit extraction one shift+mask. *)
-let radix_sort keys nbits =
+(* Sort non-negative packed keys on their bits [from, nbits), returning
+   the sorted array (the input or a scratch buffer).  The caller packs
+   the entry index (or another key already ascending in input order)
+   below bit [from]; LSD radix is stable, so those bits need no pass.
+   The rest goes in the fewest digits of at most 16 bits, split evenly:
+   linear passes beat a comparison sort well before 10^5 entries,
+   packed keys make the digit extraction one shift+mask, and narrower
+   digits scatter into fewer buckets, which keeps large sorts in cache. *)
+let radix_sort keys ~from nbits =
   let n = Array.length keys in
   if n < 2048 then begin
     Array.sort Int.compare keys;
     keys
   end
   else begin
-    let count = Array.make 0x10000 0 in
+    let passes = (nbits - from + 15) / 16 in
+    let width = if passes = 0 then 0 else (nbits - from + passes - 1) / passes in
+    let buckets = 1 lsl width in
+    let mask = buckets - 1 in
+    let count = Array.make buckets 0 in
     let src = ref keys and dst = ref (Array.make n 0) in
-    let shift = ref 0 in
-    while !shift < nbits do
+    for pass = 0 to passes - 1 do
+      let shift = from + (pass * width) in
       let s = !src and d = !dst in
-      Array.fill count 0 0x10000 0;
+      Array.fill count 0 buckets 0;
       for i = 0 to n - 1 do
-        let c = (s.(i) lsr !shift) land 0xffff in
+        let c = (s.(i) lsr shift) land mask in
         count.(c) <- count.(c) + 1
       done;
       let sum = ref 0 in
-      for c = 0 to 0xffff do
+      for c = 0 to mask do
         let k = count.(c) in
         count.(c) <- !sum;
         sum := !sum + k
       done;
       for i = 0 to n - 1 do
-        let c = (s.(i) lsr !shift) land 0xffff in
+        let c = (s.(i) lsr shift) land mask in
         d.(count.(c)) <- s.(i);
         count.(c) <- count.(c) + 1
       done;
       src := d;
-      dst := s;
-      shift := !shift + 16
+      dst := s
     done;
     !src
   end
 
-(* Sort entries by (k1, k2, lo).  Fast path: when the key ranges fit in
-   62 bits alongside the entry index, pack them into one int per entry
-   and sort immediates — several times faster than a comparator reading
-   five arrays.  Entries generated by the same wire stay in generation
-   order either way; cross-wire ties in (k1, k2, lo) only occur on
-   already-overlapping (invalid) geometry, where report order is not
-   specified. *)
+(* Sort entries by (k1, k2, lo) and fill [reach].  Fast path: when the
+   key ranges fit in 62 bits alongside the entry index, pack them into
+   one int per entry and sort immediates — several times faster than a
+   comparator reading five arrays.  Entries generated by the same wire
+   stay in generation order either way; cross-wire ties in (k1, k2, lo)
+   only occur on already-overlapping (invalid) geometry, where report
+   order is not specified. *)
 let sort_runs r =
-  let permute_by idx =
-    let permute a = Array.map (fun i -> a.(i)) idx in
-    {
-      r with
-      k1 = permute r.k1;
-      k2 = permute r.k2;
-      lo = permute r.lo;
-      hi = permute r.hi;
-      wire = permute r.wire;
-    }
+  (* [s.reach] is the buffer that held the sort order, dead once the
+     columns are gathered: the running max costs no memory *)
+  let with_reach s =
+    for i = 0 to s.n - 1 do
+      s.reach.(i) <-
+        (if i > 0 && s.k1.(i) = s.k1.(i - 1) && s.k2.(i) = s.k2.(i - 1) then
+           Int.max s.reach.(i - 1) s.hi.(i)
+         else s.hi.(i))
+    done;
+    s
   in
   if r.n = 0 then r
   else begin
@@ -215,9 +266,22 @@ let sort_runs r =
              lsl bix)
             lor i)
       in
-      let keys = radix_sort keys (bk1 + bk2 + blo + bix) in
-      let mask = (1 lsl bix) - 1 in
-      permute_by (Array.map (fun k -> k land mask) keys)
+      let keys = radix_sort keys ~from:bix (bk1 + bk2 + blo + bix) in
+      (* k1, k2 and lo decode from the sorted keys; only hi and wire are
+         gathered, through the entry index in the low bits — random
+         reads are what a large sort pays for *)
+      let field k shift bits = (k lsr shift) land ((1 lsl bits) - 1) in
+      let ix = (1 lsl bix) - 1 in
+      with_reach
+        {
+          r with
+          k1 = Array.map (fun k -> (k lsr (bk2 + blo + bix)) + k1_0) keys;
+          k2 = Array.map (fun k -> field k (blo + bix) bk2 + k2_0) keys;
+          lo = Array.map (fun k -> field k bix blo + lo_0) keys;
+          hi = Array.map (fun k -> r.hi.(k land ix)) keys;
+          wire = Array.map (fun k -> r.wire.(k land ix)) keys;
+          reach = keys;
+        }
     end
     else begin
       let idx = Array.init r.n (fun i -> i) in
@@ -235,7 +299,17 @@ let sort_runs r =
                 let c = Int.compare r.hi.(a) r.hi.(b) in
                 if c <> 0 then c else Int.compare r.wire.(a) r.wire.(b))
         idx;
-      permute_by idx
+      let permute a = Array.map (fun i -> a.(i)) idx in
+      with_reach
+        {
+          r with
+          k1 = permute r.k1;
+          k2 = permute r.k2;
+          lo = permute r.lo;
+          hi = permute r.hi;
+          wire = permute r.wire;
+          reach = idx;
+        }
     end
   end
 
@@ -383,8 +457,19 @@ let check_crossings c ~mode (idx : indexes) =
 
 (* --- via checks ----------------------------------------------------- *)
 
+(* report every run of [r] on line ([z], [line]) through coordinate [at]
+   along it, except the runs of the via's own wire *)
+let check_pierced c (r : runs) zi ~via_wire ~line ~at x y z =
+  let gs, ge = group_range zi z line in
+  let first, stop = stab ~lo:r.lo ~reach:r.reach gs ge at at in
+  for j = first to stop - 1 do
+    if r.wire.(j) <> via_wire && r.hi.(j) >= at then
+      report c "via-run" "via of wire %d pierces run of wire %d at (%d,%d,%d)"
+        via_wire r.wire.(j) x y z
+  done
+
 let check_vias c (idx : indexes) =
-  let vias = idx.vias in
+  let vias = idx.vias and h = idx.h_runs and v = idx.v_runs in
   iter_groups vias (fun s e ->
       let x = vias.k1.(s) and y = vias.k2.(s) in
       (* via-via at the same (x, y): the group is sorted by z-lo *)
@@ -397,74 +482,32 @@ let check_vias c (idx : indexes) =
             x y
       done;
       (* via against in-plane runs on every layer it traverses: a via is
-         a bend, so this is illegal in both modes *)
+         a bend, so this is illegal in both modes.  The runs through the
+         via's point on its H line (and then its V line) come out of one
+         stabbing query each, in ascending group order *)
       for i = s to e - 1 do
         let via_wire = vias.wire.(i) in
         for z = vias.lo.(i) to vias.hi.(i) do
-          let hs, he = group_range idx.h_runs idx.h_z z y in
-          for j = hs to he - 1 do
-            let hr = idx.h_runs in
-            if hr.wire.(j) <> via_wire && hr.lo.(j) <= x && x <= hr.hi.(j)
-            then
-              report c "via-run"
-                "via of wire %d pierces run of wire %d at (%d,%d,%d)" via_wire
-                hr.wire.(j) x y z
-          done;
-          let vs, ve = group_range idx.v_runs idx.v_z z x in
-          for j = vs to ve - 1 do
-            let vr = idx.v_runs in
-            if vr.wire.(j) <> via_wire && vr.lo.(j) <= y && y <= vr.hi.(j)
-            then
-              report c "via-run"
-                "via of wire %d pierces run of wire %d at (%d,%d,%d)" via_wire
-                vr.wire.(j) x y z
-          done
+          check_pierced c h idx.h_z ~via_wire ~line:y ~at:x x y z;
+          check_pierced c v idx.v_z ~via_wire ~line:x ~at:y x y z
         done
       done)
 
 (* --- node footprint checks ------------------------------------------ *)
 
-let check_nodes c (layout : Layout.t) =
-  let g = Layout.geom layout in
-  let node_layers = Layout.node_layers layout in
-  let n = g.Geom.n_nodes in
-  (* pairwise disjointness via sweep on x0 *)
-  let order = Array.init n (fun i -> i) in
-  Array.sort (fun a b -> Int.compare g.Geom.nx0.{a} g.Geom.nx0.{b}) order;
-  Array.iteri
-    (fun i a ->
-      let j = ref (i + 1) in
-      while !j < n && g.Geom.nx0.{order.(!j)} <= g.Geom.nx1.{a} do
-        let b = order.(!j) in
-        (* footprints may coincide across different active layers *)
-        if
-          node_layers.(a) = node_layers.(b)
-          && max g.Geom.nx0.{a} g.Geom.nx0.{b}
-             <= min g.Geom.nx1.{a} g.Geom.nx1.{b}
-          && max g.Geom.ny0.{a} g.Geom.ny0.{b}
-             <= min g.Geom.ny1.{a} g.Geom.ny1.{b}
-        then
-          report c "node-overlap" "nodes %d and %d overlap: %a vs %a" a b
-            Rect.pp (Geom.node_rect g a) Rect.pp (Geom.node_rect g b);
-        incr j
-      done)
-    order
-
 (* Nodes indexed by their y rows (for H segments) and x columns (for V
    ones): one flat entry per (row-or-column, node) pair, bucketed by the
    key and sorted inside each bucket by the node's span start on the
-   other axis, with a running prefix max of the span ends.  A stabbing
-   query for [qlo, qhi] binary-searches the last entry starting at or
-   before qhi and walks backwards while the prefix max still reaches
-   qlo, so it touches only overlapping candidates (plus one) instead of
-   every node sharing the row/column — correct even when footprints
-   overlap, which is itself a violation reported elsewhere. *)
+   other axis, with a running max of the span ends, so a [stab] query
+   returns only candidates that reach the query span instead of every
+   node sharing the row/column — correct even when footprints overlap,
+   which [check_nodes] reports. *)
 type node_index = {
   keys : int array; (* distinct key values, ascending *)
   bstart : int array; (* bucket boundaries, length keys+1 *)
   lo : int array; (* span start on the other axis, ascending per bucket *)
   hi : int array; (* span end *)
-  prefmax : int array; (* running max of [hi] within the bucket *)
+  reach : int array; (* running max of [hi] within the bucket *)
   node : int array;
 }
 
@@ -513,7 +556,7 @@ let build_node_index key_lo key_hi span_lo span_hi (g : Geom.t) =
               ((((ekey.(i) - kmin) lsl blo) lor (span_lo.{nd} - lmin)) lsl bnd)
               lor nd)
         in
-        let packed = radix_sort packed (bkey + blo + bnd) in
+        let packed = radix_sort packed ~from:bnd (bkey + blo + bnd) in
         let maskn = (1 lsl bnd) - 1 in
         ( Array.map (fun k -> (k lsr (blo + bnd)) + kmin) packed,
           Array.map (fun k -> k land maskn) packed )
@@ -549,36 +592,83 @@ let build_node_index key_lo key_hi span_lo span_hi (g : Geom.t) =
       incr b
     end
   done;
-  let prefmax = Array.make (max 1 total) min_int in
+  let reach = Array.make (max 1 total) min_int in
   for b = 0 to !nkeys - 1 do
     let m = ref min_int in
     for i = bstart.(b) to bstart.(b + 1) - 1 do
       if hi.(i) > !m then m := hi.(i);
-      prefmax.(i) <- !m
+      reach.(i) <- !m
     done
   done;
-  { keys; bstart; lo; hi; prefmax; node }
+  { keys; bstart; lo; hi; reach; node }
 
-(* call [f node olo ohi] for each node on row/column [key] whose span
-   overlaps [qlo, qhi], with the clamped overlap *)
-let node_stab (ni : node_index) key qlo qhi f =
+(* Both node indexes, built once per [run]: [by_y] (rows) answers H runs,
+   vias and footprint pairs, [by_x] (columns) answers V runs. *)
+type node_indexes = { by_y : node_index; by_x : node_index }
+
+let build_node_indexes (g : Geom.t) =
+  {
+    by_y = build_node_index g.Geom.ny0 g.Geom.ny1 g.Geom.nx0 g.Geom.nx1 g;
+    by_x = build_node_index g.Geom.nx0 g.Geom.nx1 g.Geom.ny0 g.Geom.ny1 g;
+  }
+
+(* the index range [first, stop) of the nodes on row/column [key] whose
+   span may meet [qlo, qhi] (see [stab]: entries with [hi < qlo] are
+   skipped by the caller); empty when no node sits on [key] *)
+let node_stab (ni : node_index) key qlo qhi =
   let nk = Array.length ni.bstart - 1 in
   let b = lb_ge ni.keys 0 nk key in
-  if b < nk && ni.keys.(b) = key then begin
-    let s = ni.bstart.(b) and e = ni.bstart.(b + 1) in
-    let p = ref (lb_gt ni.lo s e qhi - 1) in
-    while !p >= s && ni.prefmax.(!p) >= qlo do
-      if ni.hi.(!p) >= qlo then
-        f ni.node.(!p) (max ni.lo.(!p) qlo) (min ni.hi.(!p) qhi);
-      decr p
-    done
-  end
+  if b < nk && ni.keys.(b) = key then
+    stab ~lo:ni.lo ~reach:ni.reach ni.bstart.(b) ni.bstart.(b + 1) qlo qhi
+  else (0, 0)
 
-let check_wires_vs_nodes c (layout : Layout.t) =
+(* Pairwise footprint disjointness.  Two footprints overlap iff the
+   higher of their bottom rows lies in both, so one stab of [by_y] at
+   each node's bottom row, over its x span, finds every overlapping pair:
+   from the node with the higher bottom row, or from the larger id when
+   the bottom rows tie.  Pairs are reported in the order of a sweep over
+   the nodes sorted by x0 — by the x0 rank of the pair's first node, then
+   of its second — which is the order the checker has always used. *)
+let check_nodes c (layout : Layout.t) (by_y : node_index) =
   let g = Layout.geom layout in
   let node_layers = Layout.node_layers layout in
-  let by_y = build_node_index g.Geom.ny0 g.Geom.ny1 g.Geom.nx0 g.Geom.nx1 g in
-  let by_x = build_node_index g.Geom.nx0 g.Geom.nx1 g.Geom.ny0 g.Geom.ny1 g in
+  let n = g.Geom.n_nodes in
+  let nx0 = g.Geom.nx0 and ny0 = g.Geom.ny0 in
+  let nx1 = g.Geom.nx1 and ny1 = g.Geom.ny1 in
+  let order = Array.init n (fun i -> i) in
+  Array.sort (fun a b -> Int.compare nx0.{a} nx0.{b}) order;
+  let rank = Array.make n 0 in
+  Array.iteri (fun r a -> rank.(a) <- r) order;
+  (* each pair packed as (first rank * n + second rank) *)
+  let pairs = ref [] in
+  for b = 0 to n - 1 do
+    let first, stop = node_stab by_y ny0.{b} nx0.{b} nx1.{b} in
+    for p = first to stop - 1 do
+      let a = by_y.node.(p) in
+      (* footprints may coincide across different active layers *)
+      if
+        a <> b
+        && (ny0.{a} < ny0.{b} || a < b)
+        && node_layers.(a) = node_layers.(b)
+        && Int.max nx0.{a} nx0.{b} <= Int.min nx1.{a} nx1.{b}
+        && Int.max ny0.{a} ny0.{b} <= Int.min ny1.{a} ny1.{b}
+      then
+        pairs :=
+          ((Int.min rank.(a) rank.(b) * n) + Int.max rank.(a) rank.(b))
+          :: !pairs
+    done
+  done;
+  List.iter
+    (fun key ->
+      let a = order.(key / n) and b = order.(key mod n) in
+      report c "node-overlap" "nodes %d and %d overlap: %a vs %a" a b Rect.pp
+        (Geom.node_rect g a) Rect.pp (Geom.node_rect g b))
+    (List.sort Int.compare !pairs)
+
+let check_wires_vs_nodes c (layout : Layout.t) (ni : node_indexes) =
+  let g = Layout.geom layout in
+  let node_layers = Layout.node_layers layout in
+  let by_y = ni.by_y and by_x = ni.by_x in
   let px = g.Geom.px and py = g.Geom.py and pz = g.Geom.pz in
   for wire_id = 0 to g.Geom.n_wires - 1 do
     let u = g.Geom.edge_u.{wire_id} and v = g.Geom.edge_v.{wire_id} in
@@ -598,25 +688,45 @@ let check_wires_vs_nodes c (layout : Layout.t) =
           "wire %d (%d-%d) overlaps its node %d beyond its terminal" wire_id u
           v node_id
     in
+    (* each stab's range is walked top down, the order hits have always
+       been reported in *)
     for k = first to last - 1 do
       let xa = px.{k} and ya = py.{k} and za = pz.{k} in
       let xb = px.{k + 1} and yb = py.{k + 1} and zb = pz.{k + 1} in
-      if xb <> xa then
+      if xb <> xa then begin
         (* in-plane run along x at (y, z) *)
-        node_stab by_y ya (min xa xb) (max xa xb) (fun id lo hi ->
-            if node_layers.(id) = za then
-              check_hit id ~single:(lo = hi) lo ya za)
-      else if yb <> ya then
-        node_stab by_x xa (min ya yb) (max ya yb) (fun id lo hi ->
-            if node_layers.(id) = za then
-              check_hit id ~single:(lo = hi) xa lo za)
+        let qlo = Int.min xa xb and qhi = Int.max xa xb in
+        let s, stop = node_stab by_y ya qlo qhi in
+        for p = stop - 1 downto s do
+          let id = by_y.node.(p) in
+          if by_y.hi.(p) >= qlo && node_layers.(id) = za then begin
+            let lo = Int.max by_y.lo.(p) qlo in
+            check_hit id ~single:(lo = Int.min by_y.hi.(p) qhi) lo ya za
+          end
+        done
+      end
+      else if yb <> ya then begin
+        let qlo = Int.min ya yb and qhi = Int.max ya yb in
+        let s, stop = node_stab by_x xa qlo qhi in
+        for p = stop - 1 downto s do
+          let id = by_x.node.(p) in
+          if by_x.hi.(p) >= qlo && node_layers.(id) = za then begin
+            let lo = Int.max by_x.lo.(p) qlo in
+            check_hit id ~single:(lo = Int.min by_x.hi.(p) qhi) xa lo za
+          end
+        done
+      end
       else begin
         (* a via hits a node when its z range crosses the node's active
            layer inside the footprint *)
-        let zlo = min za zb and zhi = max za zb in
-        node_stab by_y ya xa xa (fun id _ _ ->
-            let zl = node_layers.(id) in
-            if zlo <= zl && zl <= zhi then check_hit id ~single:true xa ya zl)
+        let zlo = Int.min za zb and zhi = Int.max za zb in
+        let s, stop = node_stab by_y ya xa xa in
+        for p = stop - 1 downto s do
+          let id = by_y.node.(p) in
+          let zl = node_layers.(id) in
+          if by_y.hi.(p) >= xa && zlo <= zl && zl <= zhi then
+            check_hit id ~single:true xa ya zl
+        done
       end
     done
   done
@@ -714,23 +824,28 @@ let merge_into c found =
     found
 
 let run ?(mode = Strict) ?(max_violations = 20) ?(jobs = 1) layout =
+  (* wall-clock phase ticks: consecutive, so the phases add up to the
+     call's wall time at any [jobs] *)
   let debug = Sys.getenv_opt "MVL_CHECK_TIMINGS" <> None in
-  let t0 = ref (Sys.time ()) in
+  let t0 = ref (Monotonic_clock.now ()) in
   let tick label =
     if debug then begin
-      let t = Sys.time () in
-      Printf.eprintf "check: %-16s %.4fs\n%!" label (t -. !t0);
+      let t = Monotonic_clock.now () in
+      Printf.eprintf "check: %-16s %.4fs\n%!" label
+        (Int64.to_float (Int64.sub t !t0) *. 1e-9);
       t0 := t
     end
   in
   let c = { violations = []; count = 0; limit = max_violations } in
   check_layers c layout;
   tick "layers";
-  check_nodes c layout;
+  let node_idx = build_node_indexes (Layout.geom layout) in
+  tick "node_indexes";
+  check_nodes c layout node_idx.by_y;
   tick "nodes";
   check_terminals c layout;
   tick "terminals";
-  check_wires_vs_nodes c layout;
+  check_wires_vs_nodes c layout node_idx;
   tick "wires_vs_nodes";
   let idx = build_indexes (Layout.geom layout) in
   tick "build_indexes";

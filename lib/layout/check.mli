@@ -29,13 +29,26 @@ val run : ?mode:mode -> ?max_violations:int -> ?jobs:int -> Layout.t -> result
     violations (default 20); [result.truncated] says whether that cap
     was reached.
 
-    [jobs] (default 1) shards the heavy sweeps — collinear overlaps and
-    H/V crossings — over a work-stealing domain pool, one task per
-    (sweep kind, layer) zindex bucket.  Shards read the shared
-    immutable segment indexes and collect violations locally; the
-    merge replays task order, so the result (violations, their order,
-    and [truncated]) is identical at any [jobs].  The remaining checks
-    (nodes, terminals, vias, ...) are cheap and stay sequential. *)
+    [jobs] (default 1) shards the collinear-overlap and H/V crossing
+    sweeps over a work-stealing domain pool, one task per (sweep kind,
+    layer) zindex bucket.  Shards read the shared immutable segment
+    indexes and collect violations locally; the merge replays task
+    order, so the result (violations, their order, and [truncated]) is
+    identical at any [jobs].
+
+    The other passes stay sequential.  With [N] nodes, [S] segments and
+    [F] footprint rows plus columns, their costs are below; a stabbing
+    query costs O(log) plus the candidates it returns, which on a valid
+    layout are the few entries at the query point.
+    - layer range: O(S);
+    - footprint disjointness: O(N log N) for the x0 ranks that fix the
+      report order, then one stabbing query per node into the row index
+      and a sort of the overlapping pairs found;
+    - terminals: O(wires);
+    - wire against node: one stabbing query per segment, O(S log F);
+    - via checks: one stabbing query per (via, layer it spans) on its
+      row and one on its column, O(log S) each.
+    Building the segment and node indexes is a linear-time radix sort. *)
 
 val validate : ?mode:mode -> ?max_violations:int -> Layout.t -> violation list
 (** [(run ... layout).violations].  Empty list = valid.

@@ -243,6 +243,300 @@ let test_sharded_matches_sequential () =
         true (par1 = seq1))
     layouts
 
+(* --- order pinning: via-run and node-overlap ------------------------ *)
+
+(* A brute-force reference for the two rules Check.run answers with
+   stabbing queries, emitting their reports in the order the checker has
+   always used.  Vias are visited sorted by (x, y, lower layer,
+   generation index); on each layer a via spans, every H run on its row
+   and then every V run on its column is tested, a line's runs taken by
+   (span start, generation index).  The generation index numbers the
+   segments wire by wire, in path order. *)
+type ref_run = { gen : int; wire : int; k1 : int; k2 : int; lo : int; hi : int }
+
+(* H runs: k1 = z, k2 = y, span x; V runs: k1 = z, k2 = x, span y; vias:
+   k1 = x, k2 = y, span z — each list sorted by (k1, k2, lo, gen) *)
+let ref_segments (lay : Mvl.Layout.t) =
+  let h = ref [] and v = ref [] and z = ref [] and gen = ref 0 in
+  Array.iteri
+    (fun wire (w : Mvl.Wire.t) ->
+      let p = w.Mvl.Wire.points in
+      for k = 0 to Array.length p - 2 do
+        let a = p.(k) and b = p.(k + 1) in
+        let run k1 k2 lo hi =
+          { gen = !gen; wire; k1; k2; lo = min lo hi; hi = max lo hi }
+        in
+        let open Mvl.Point in
+        (if a.x <> b.x then h := run a.z a.y a.x b.x :: !h
+         else if a.y <> b.y then v := run a.z a.x a.y b.y :: !v
+         else z := run a.x a.y a.z b.z :: !z);
+        incr gen
+      done)
+    (Mvl.Layout.wires lay);
+  let sorted l =
+    List.sort
+      (fun r s -> compare (r.k1, r.k2, r.lo, r.gen) (s.k1, s.k2, s.lo, s.gen))
+      l
+  in
+  (sorted !h, sorted !v, sorted !z)
+
+let reference_via_runs lay =
+  let h, v, vias = ref_segments lay in
+  List.concat_map
+    (fun via ->
+      let x = via.k1 and y = via.k2 in
+      List.concat_map
+        (fun z ->
+          let pierced runs line at =
+            List.filter_map
+              (fun r ->
+                if
+                  r.k1 = z && r.k2 = line && r.wire <> via.wire && r.lo <= at
+                  && at <= r.hi
+                then
+                  Some
+                    ( "via-run",
+                      Printf.sprintf
+                        "via of wire %d pierces run of wire %d at (%d,%d,%d)"
+                        via.wire r.wire x y z )
+                else None)
+              runs
+          in
+          pierced h y x @ pierced v x y)
+        (List.init (via.hi - via.lo + 1) (fun i -> via.lo + i)))
+    vias
+
+(* every node pair on one active layer, in the order of a sweep over the
+   nodes sorted by x0 with [Array.sort] — ties keep the order that sort
+   leaves them in *)
+let reference_node_overlaps (lay : Mvl.Layout.t) =
+  let nodes = Mvl.Layout.nodes lay and layer = Mvl.Layout.node_layers lay in
+  let n = Array.length nodes in
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun a b -> Int.compare nodes.(a).Mvl.Rect.x0 nodes.(b).Mvl.Rect.x0)
+    order;
+  List.concat
+    (List.init n (fun i ->
+         List.filter_map
+           (fun j ->
+             let a = order.(i) and b = order.(j) in
+             if layer.(a) = layer.(b) && Mvl.Rect.overlaps nodes.(a) nodes.(b)
+             then
+               Some
+                 ( "node-overlap",
+                   Format.asprintf "nodes %d and %d overlap: %a vs %a" a b
+                     Mvl.Rect.pp nodes.(a) Mvl.Rect.pp nodes.(b) )
+             else None)
+           (List.init (n - i - 1) (fun k -> i + 1 + k))))
+
+let reported rule (r : Mvl.Check.result) =
+  List.filter_map
+    (fun (v : Mvl.Check.violation) ->
+      if v.Mvl.Check.rule = rule then Some (rule, v.Mvl.Check.detail) else None)
+    r.Mvl.Check.violations
+
+let pairs = Alcotest.(list (pair string string))
+
+(* move node [victim] so its corner lands near node [onto]'s *)
+let translate_node lay ~victim ~onto ~dx ~dy =
+  let nodes = Array.copy (Mvl.Layout.nodes lay) in
+  let r = nodes.(victim) and t = nodes.(onto) in
+  let ox = t.Mvl.Rect.x0 + dx - r.Mvl.Rect.x0
+  and oy = t.Mvl.Rect.y0 + dy - r.Mvl.Rect.y0 in
+  nodes.(victim) <-
+    Mvl.Rect.make ~x0:(r.Mvl.Rect.x0 + ox) ~y0:(r.Mvl.Rect.y0 + oy)
+      ~x1:(r.Mvl.Rect.x1 + ox) ~y1:(r.Mvl.Rect.y1 + oy);
+  Mvl.Layout.make ~graph:(Mvl.Layout.graph lay)
+    ~layers:(Mvl.Layout.layers lay)
+    ~node_layers:(Mvl.Layout.node_layers lay) ~nodes
+    ~wires:(Mvl.Layout.wires lay) ()
+
+(* shift wire [victim] so that one of its in-plane runs passes through a
+   via of another wire on a layer the via spans; [pick] chooses the
+   (run, via, point) triple *)
+let shift_onto_via lay ~victim ~pick =
+  let h, v, vias = ref_segments lay in
+  let mine = List.filter (fun r -> r.wire = victim) in
+  let moves =
+    List.concat_map
+      (fun via ->
+        if via.wire = victim then []
+        else
+          let on_layer r = via.lo <= r.k1 && r.k1 <= via.hi in
+          List.map
+            (fun r ->
+              (* an H run's row goes to the via's y, a point of its span
+                 to the via's x *)
+              let at = r.lo + (pick mod (r.hi - r.lo + 1)) in
+              (via.k1 - at, via.k2 - r.k2))
+            (List.filter on_layer (mine h))
+          @ List.map
+              (fun r ->
+                let at = r.lo + (pick mod (r.hi - r.lo + 1)) in
+                (via.k1 - r.k2, via.k2 - at))
+              (List.filter on_layer (mine v)))
+      vias
+  in
+  match moves with
+  | [] -> lay
+  | _ ->
+      let dx, dy = List.nth moves (pick mod List.length moves) in
+      let wires = Array.copy (Mvl.Layout.wires lay) in
+      wires.(victim) <- Test_mutations.shift_wire wires.(victim) ~dx ~dy;
+      Test_mutations.with_wires lay wires
+
+(* give wire [victim] the route of wire [donor] *)
+let clone_route lay ~victim ~donor =
+  let wires = Array.copy (Mvl.Layout.wires lay) in
+  wires.(victim) <-
+    { (wires.(donor)) with Mvl.Wire.edge = wires.(victim).Mvl.Wire.edge };
+  Test_mutations.with_wires lay wires
+
+let small_layouts =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun fam -> fam.Mvl.Families.layout ~layers:4)
+          (Mvl.Registry.all_small ())))
+
+let prop_stabbing_matches_reference =
+  QCheck.Test.make ~count:150
+    ~name:"via-run and node-overlap reports match the reference, in order"
+    QCheck.(quad (int_bound 10_000) (int_bound 2) (int_bound 10_000)
+              (int_bound 10_000))
+    (fun (which, mutation, i, j) ->
+      let layouts = Lazy.force small_layouts in
+      let lay = layouts.(which mod Array.length layouts) in
+      let n_nodes = Array.length (Mvl.Layout.nodes lay) in
+      let n_wires = Array.length (Mvl.Layout.wires lay) in
+      let mutated =
+        match mutation with
+        | 0 ->
+            translate_node lay ~victim:(i mod n_nodes) ~onto:(j mod n_nodes)
+              ~dx:((j mod 5) - 2) ~dy:((i mod 5) - 2)
+        | 1 -> shift_onto_via lay ~victim:(i mod n_wires) ~pick:j
+        | _ -> clone_route lay ~victim:(i mod n_wires) ~donor:(j mod n_wires)
+      in
+      let via_runs = reference_via_runs mutated in
+      let overlaps = reference_node_overlaps mutated in
+      List.for_all
+        (fun jobs ->
+          let r = Mvl.Check.run ~max_violations:max_int ~jobs mutated in
+          reported "via-run" r = via_runs
+          && reported "node-overlap" r = overlaps)
+        [ 1; 4 ])
+
+let dot x y = Mvl.Rect.make ~x0:x ~y0:y ~x1:x ~y1:y
+
+(* Row y=10 of layer 2 carries runs of wires 0 (x 0..20), 1 (x 4..8,
+   inside wire 0's) and 2 (x 24..30).  Wires 3-6 drop a via through the
+   row at x = 6, 12, 27 and 22; wire 1's own terminal vias at x = 4 and
+   8 pierce wire 0's run; wire 7 runs up column x=12 of layer 2, where
+   wire 4's via pierces it right after wire 0's run. *)
+let pierced_line () =
+  let on_line a b = [ pt a 10 1; pt a 10 2; pt b 10 2; pt b 10 1 ] in
+  let drop x = [ pt x 0 1; pt x 0 3; pt x 10 3; pt x 10 1; pt x 15 1 ] in
+  let routes =
+    [
+      ((dot 0 10, dot 20 10), on_line 0 20);
+      ((dot 4 10, dot 8 10), on_line 4 8);
+      ((dot 24 10, dot 30 10), on_line 24 30);
+      ((dot 6 0, dot 6 15), drop 6);
+      ((dot 12 0, dot 12 15), drop 12);
+      ((dot 27 0, dot 27 15), drop 27);
+      ((dot 22 0, dot 22 15), drop 22);
+      ( (dot 13 8, dot 13 12),
+        [ pt 13 8 1; pt 13 8 2; pt 12 8 2; pt 12 12 2; pt 13 12 2; pt 13 12 1 ]
+      );
+    ]
+  in
+  (* wire i joins nodes 2i and 2i+1 *)
+  let edges = List.mapi (fun i _ -> (2 * i, (2 * i) + 1)) routes in
+  let nodes =
+    Array.of_list (List.concat_map (fun ((a, b), _) -> [ a; b ]) routes)
+  in
+  let wires =
+    Array.of_list
+      (List.map2 (fun edge (_, r) -> Mvl.Wire.make ~edge r) edges routes)
+  in
+  Mvl.Layout.make
+    ~graph:(Mvl.Graph.of_edges ~n:(Array.length nodes) edges)
+    ~layers:3 ~nodes ~wires ()
+
+(* four footprints share x0 = 0 and several pairs overlap; node 7
+   coincides with node 0 on another active layer *)
+let shared_x0 () =
+  let r x0 y0 x1 y1 = Mvl.Rect.make ~x0 ~y0 ~x1 ~y1 in
+  let nodes =
+    [|
+      r 0 0 4 4;
+      r 0 3 2 6;
+      r 0 6 6 8;
+      r 2 2 5 3;
+      r 10 0 12 2;
+      r 0 20 1 21;
+      r 4 4 4 9;
+      r 0 0 4 4;
+      r 5 7 9 7;
+    |]
+  in
+  Mvl.Layout.make
+    ~graph:(Mvl.Graph.of_edges ~n:(Array.length nodes) [])
+    ~layers:2 ~node_layers:[| 1; 1; 1; 1; 1; 1; 1; 2; 1 |] ~nodes ~wires:[||]
+    ()
+
+(* full reports at max_violations 10 000; the caps 1 and 3 keep a prefix
+   and flag truncation *)
+let pierced_line_reports =
+  [
+    ("overlap", "horizontal runs of wires 0 and 1 share x/y=4..");
+    ("crossing", "wires 0 and 7 meet at (12,10,z=2)");
+    ("via-run", "via of wire 1 pierces run of wire 0 at (4,10,2)");
+    ("via-run", "via of wire 3 pierces run of wire 0 at (6,10,2)");
+    ("via-run", "via of wire 3 pierces run of wire 1 at (6,10,2)");
+    ("via-run", "via of wire 1 pierces run of wire 0 at (8,10,2)");
+    ("via-run", "via of wire 4 pierces run of wire 0 at (12,10,2)");
+    ("via-run", "via of wire 4 pierces run of wire 7 at (12,10,2)");
+    ("via-run", "via of wire 5 pierces run of wire 2 at (27,10,2)");
+  ]
+
+let shared_x0_reports =
+  [
+    ("node-overlap", "nodes 0 and 1 overlap: [0..4]x[0..4] vs [0..2]x[3..6]");
+    ("node-overlap", "nodes 0 and 3 overlap: [0..4]x[0..4] vs [2..5]x[2..3]");
+    ("node-overlap", "nodes 0 and 6 overlap: [0..4]x[0..4] vs [4..4]x[4..9]");
+    ("node-overlap", "nodes 2 and 1 overlap: [0..6]x[6..8] vs [0..2]x[3..6]");
+    ("node-overlap", "nodes 2 and 6 overlap: [0..6]x[6..8] vs [4..4]x[4..9]");
+    ("node-overlap", "nodes 2 and 8 overlap: [0..6]x[6..8] vs [5..9]x[7..7]");
+    ("node-overlap", "nodes 1 and 3 overlap: [0..2]x[3..6] vs [2..5]x[2..3]");
+  ]
+
+let check_pinned name lay expected () =
+  List.iter
+    (fun (cap, truncated) ->
+      List.iter
+        (fun jobs ->
+          let r = Mvl.Check.run ~max_violations:cap ~jobs lay in
+          let label = Printf.sprintf "%s cap %d jobs %d" name cap jobs in
+          Alcotest.check pairs label
+            (List.filteri (fun i _ -> i < cap) expected)
+            (List.map
+               (fun (v : Mvl.Check.violation) ->
+                 (v.Mvl.Check.rule, v.Mvl.Check.detail))
+               r.Mvl.Check.violations);
+          Alcotest.(check bool) (label ^ " truncated") truncated
+            r.Mvl.Check.truncated)
+        [ 1; 4 ])
+    [ (1, true); (3, true); (10_000, false) ];
+  (* the reference agrees with the pinned lists *)
+  let full = Mvl.Check.run ~max_violations:10_000 lay in
+  Alcotest.check pairs (name ^ " via-run reference") (reference_via_runs lay)
+    (reported "via-run" full);
+  Alcotest.check pairs (name ^ " node-overlap reference")
+    (reference_node_overlaps lay)
+    (reported "node-overlap" full)
+
 let suite =
   [
     Alcotest.test_case "hand-built good layout passes" `Quick
@@ -262,4 +556,9 @@ let suite =
     Alcotest.test_case "truncation flagged" `Quick test_truncation_flagged;
     Alcotest.test_case "sharded check matches sequential" `Quick
       test_sharded_matches_sequential;
+    Alcotest.test_case "pinned via-run order" `Quick
+      (check_pinned "pierced line" (pierced_line ()) pierced_line_reports);
+    Alcotest.test_case "pinned node-overlap order" `Quick
+      (check_pinned "shared x0" (shared_x0 ()) shared_x0_reports);
+    QCheck_alcotest.to_alcotest prop_stabbing_matches_reference;
   ]
