@@ -39,8 +39,9 @@ lint:
 
 # what CI runs: full build, test suite, the benchmark's smoke test,
 # and a CLI smoke pass (list + one validated layout + a malformed spec
-# that must fail + the --json/bench-emit telemetry surfaces, which
-# self-validate)
+# that must fail + malformed wormhole fabrics that must exit 2 + the
+# --json/bench-emit telemetry surfaces, which self-validate + sharded
+# vs serial parity of sim and wormhole)
 check: lint
 	dune build @all
 	dune runtest
@@ -48,6 +49,10 @@ check: lint
 	dune exec bin/mvl_cli.exe -- list > /dev/null
 	dune exec bin/mvl_cli.exe -- layout hypercube:6 -l 4 --validate
 	! dune exec bin/mvl_cli.exe -- layout hypercube:abc -l 4 2> /dev/null
+	@for a in hypercube:0 hypercube:-1 torus:1:2 'hypercube:3 --vcs 0'; do \
+		rc=0; dune exec bin/mvl_cli.exe -- wormhole $$a 2> /dev/null || rc=$$?; \
+		[ $$rc -eq 2 ] || { echo "mvl wormhole $$a: exit $$rc, expected 2"; exit 1; }; \
+	done
 	dune exec bin/mvl_cli.exe -- layout hypercube:8 -l 4 --json | grep -q '"schema": "mvl.pipeline.run/1"'
 	dune exec bench/main.exe -- emit > /dev/null
 	grep -q '"schema": "mvl.bench.pipeline/1"' BENCH_pipeline.json
@@ -64,6 +69,13 @@ check: lint
 	MVL_FORCE_FORK=1 dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 4 --stable --json > SIM_fork.json
 	cmp SIM_jobs1.json SIM_fork.json
 	rm -f SIM_jobs1.json SIM_jobs2.json SIM_fork.json
+	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 1 > WH_jobs1.txt
+	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 4 > WH_jobs4.txt
+	cmp WH_jobs1.txt WH_jobs4.txt
+	dune exec bin/mvl_cli.exe -- wormhole torus:4:2 --adaptive --load 0.1 --jobs 1 > WH_jobs1.txt
+	dune exec bin/mvl_cli.exe -- wormhole torus:4:2 --adaptive --load 0.1 --jobs 4 > WH_jobs4.txt
+	cmp WH_jobs1.txt WH_jobs4.txt
+	rm -f WH_jobs1.txt WH_jobs4.txt
 	dune exec bench/main.exe -- throughput --quick -o BENCH_sim_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.sim/1"' BENCH_sim_quick.json
 	dune exec bench/main.exe -- throughput --quick --jobs 1 --stable -o BENCH_sim_jobs1.json > /dev/null

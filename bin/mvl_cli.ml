@@ -812,8 +812,14 @@ let wormhole_cmd =
            else Mvl.Wormhole.Deterministic);
         vcs }
     in
-    let r = Mvl.Wormhole.run ~config:cfg ?jobs fabric in
-    Format.printf "%a@." Mvl.Wormhole.pp_result r
+    (* bad fabric parameters and configs surface from the run (which
+       builds the fabric) as Invalid_argument: a usage error, like the
+       other commands' constructor errors *)
+    match Mvl.Wormhole.run ~config:cfg ?jobs fabric with
+    | r -> Format.printf "%a@." Mvl.Wormhole.pp_result r
+    | exception Invalid_argument msg ->
+        Printf.eprintf "mvl: wormhole: %s\n" msg;
+        exit 2
   in
   Cmd.v
     (Cmd.info "wormhole"

@@ -44,6 +44,7 @@ type result = {
   max_latency : int;
   throughput : float;
   undrained : int;
+  cycles : int;
   latency_histogram : (int * int) array;
 }
 
@@ -79,7 +80,19 @@ let graph_of_fabric = function
      order over the prepend-built candidate list exactly;
    - the per-router [out_used] set is a scratch array versioned by a
      generation counter, and upstream input indexes ([neighbor_idx])
-     are precomputed instead of searched per credit event. *)
+     are precomputed instead of searched per credit event.
+
+   Two rules keep it from scanning an empty fabric (DESIGN.md §8):
+
+   - the run ends after the first cycle at or past [warmup + measure -
+     1] in which no tracked packet is pending — injection is over, so
+     no statistic can change after it — and the horizon is only the
+     cap;
+   - [occupancy.(u)] counts the flits buffered at router [u] over all
+     its inputs, and the switch loop skips a router holding none.
+     Nothing else in its scan changes when a router is idle: the
+     round-robin input start is [now mod n_inputs], and [stamp] only
+     has to be fresh per scanned router. *)
 
 let run_serial config link_latency fabric graph =
   let n = Graph.n graph in
@@ -231,10 +244,15 @@ let run_serial config link_latency fabric graph =
   let cand_d = Array.make (max_deg * vcs) 0 in
   let cand_vc = Array.make (max_deg * vcs) 0 in
   let horizon = config.warmup + config.measure + config.drain in
+  let inject_end = config.warmup + config.measure in
   let injected = ref 0 and delivered = ref 0 and pending = ref 0 in
   let hist = Histogram.create () in
-  let rr = Array.make n 0 in
-  for now = 0 to horizon - 1 do
+  (* flits buffered at each router, over all its input VCs *)
+  let occupancy = Array.make n 0 in
+  let cycle = ref 0 in
+  let running = ref (horizon > 0) in
+  while !running do
+    let now = !cycle in
     (* arrivals *)
     let ab = arrivals.(now land wheel_mask) in
     let n_arr = Int_ring.length ab / 2 in
@@ -244,7 +262,9 @@ let run_serial config link_latency fabric graph =
         let fw = Int_ring.unsafe_get ab ((2 * i) + 1) in
         let vc = addr mod vcs in
         let rest = addr / vcs in
-        Int_ring.push bufs.(rest / max_inputs).(rest mod max_inputs).(vc) fw
+        let v = rest / max_inputs in
+        occupancy.(v) <- occupancy.(v) + 1;
+        Int_ring.push bufs.(v).(rest mod max_inputs).(vc) fw
       done;
       Int_ring.drop_front ab (2 * n_arr)
     end;
@@ -261,7 +281,7 @@ let run_serial config link_latency fabric graph =
       Int_ring.drop_front cb n_cred
     end;
     (* injection: whole packet enqueued flit by flit into the pseudo-input *)
-    if now < config.warmup + config.measure then
+    if now < inject_end then
       for src = 0 to n - 1 do
         if Rng.bool rng ~p:config.offered_load then begin
           let dest = Traffic.destination config.traffic rng ~n_nodes:n ~src in
@@ -270,6 +290,7 @@ let run_serial config link_latency fabric graph =
             incr pending
           end;
           let id = new_packet ~dest ~born:now in
+          occupancy.(src) <- occupancy.(src) + config.packet_len;
           let inj = bufs.(src).(Array.length neighbors.(src)).(0) in
           for f = 0 to config.packet_len - 1 do
             Int_ring.push inj
@@ -279,194 +300,201 @@ let run_serial config link_latency fabric graph =
           done
         end
       done;
-    (* switching *)
+    (* switching: a router with no buffered flit has nothing to do *)
     for u = 0 to n - 1 do
-      let nbrs = neighbors.(u) in
-      let deg = Array.length nbrs in
-      let n_inputs = deg + 1 in
-      incr stamp;
-      let st = !stamp in
-      let start = rr.(u) in
-      rr.(u) <- (start + 1) mod n_inputs;
-      for step = 0 to n_inputs - 1 do
-        let in_idx = (start + step) mod n_inputs in
-        let routes_i = route_of.(u).(in_idx) in
-        let bufs_i = bufs.(u).(in_idx) in
-        (* one flit per input per cycle: scan this input's VCs *)
-        let granted = ref false in
-        for vc = 0 to vcs - 1 do
-          let buf = bufs_i.(vc) in
-          if (not !granted) && Int_ring.length buf > 0 then begin
-            let fw = Int_ring.unsafe_get buf 0 in
-            let fid = fw lsr 2 in
-            if !pq_dest.(fid) = u then begin
-              (* ejection *)
-              Int_ring.drop_front buf 1;
-              granted := true;
-              if in_idx < deg then begin
-                let upstream = nbrs.(in_idx) in
-                let d_up = back_idx.(u).(in_idx) in
-                Int_ring.push
-                  credit_returns.((now + max 1 (link_latency upstream u))
-                                  land wheel_mask)
-                  ((((upstream * max_deg) + d_up) * vcs) + vc)
-              end;
-              if fw land 1 <> 0 then begin
-                routes_i.(vc) <- -1;
-                if !pq_born.(fid) >= config.warmup then begin
-                  incr delivered;
-                  decr pending;
-                  Histogram.add hist (now - !pq_born.(fid))
+      if occupancy.(u) > 0 then begin
+        let nbrs = neighbors.(u) in
+        let deg = Array.length nbrs in
+        let n_inputs = deg + 1 in
+        incr stamp;
+        let st = !stamp in
+        let start = now mod n_inputs in
+        for step = 0 to n_inputs - 1 do
+          let in_idx = (start + step) mod n_inputs in
+          let routes_i = route_of.(u).(in_idx) in
+          let bufs_i = bufs.(u).(in_idx) in
+          (* one flit per input per cycle: scan this input's VCs *)
+          let granted = ref false in
+          for vc = 0 to vcs - 1 do
+            let buf = bufs_i.(vc) in
+            if (not !granted) && Int_ring.length buf > 0 then begin
+              let fw = Int_ring.unsafe_get buf 0 in
+              let fid = fw lsr 2 in
+              if !pq_dest.(fid) = u then begin
+                (* ejection *)
+                Int_ring.drop_front buf 1;
+                occupancy.(u) <- occupancy.(u) - 1;
+                granted := true;
+                if in_idx < deg then begin
+                  let upstream = nbrs.(in_idx) in
+                  let d_up = back_idx.(u).(in_idx) in
+                  Int_ring.push
+                    credit_returns.((now + max 1 (link_latency upstream u))
+                                    land wheel_mask)
+                    ((((upstream * max_deg) + d_up) * vcs) + vc)
+                end;
+                if fw land 1 <> 0 then begin
+                  routes_i.(vc) <- -1;
+                  if !pq_born.(fid) >= config.warmup then begin
+                    incr delivered;
+                    decr pending;
+                    Histogram.add hist (now - !pq_born.(fid))
+                  end
                 end
               end
-            end
-            else begin
-              (* route the head if not yet routed *)
-              (if routes_i.(vc) < 0 && fw land 2 <> 0 then begin
-                 let try_alloc d vc' commit =
-                   if owner.(u).(d).(vc') < 0 then begin
-                     owner.(u).(d).(vc') <- fid;
-                     routes_i.(vc) <- (d * vcs) + vc';
-                     (match commit with
-                     | 0 -> ()
-                     | 1 ->
-                         !pq_dim.(fid) <- !rh_dim;
-                         !pq_class.(fid) <- !rh_class
-                     | _ ->
-                         !pq_dim.(fid) <- -1;
-                         !pq_class.(fid) <- 0);
-                     true
-                   end
-                   else false
-                 in
-                 let escape () =
-                   route_hop fid u;
-                   let d = neighbor_idx u !rh_next in
-                   (* under adaptive routing the hypercube escape lane is
-                      pinned to VC 0 *)
-                   let want_vc =
-                     if config.routing = Adaptive && !rh_want < 0 then 0
-                     else !rh_want
+              else begin
+                (* route the head if not yet routed *)
+                (if routes_i.(vc) < 0 && fw land 2 <> 0 then begin
+                   let try_alloc d vc' commit =
+                     if owner.(u).(d).(vc') < 0 then begin
+                       owner.(u).(d).(vc') <- fid;
+                       routes_i.(vc) <- (d * vcs) + vc';
+                       (match commit with
+                       | 0 -> ()
+                       | 1 ->
+                           !pq_dim.(fid) <- !rh_dim;
+                           !pq_class.(fid) <- !rh_class
+                       | _ ->
+                           !pq_dim.(fid) <- -1;
+                           !pq_class.(fid) <- 0);
+                       true
+                     end
+                     else false
                    in
-                   if want_vc >= 0 then
-                     ignore (try_alloc d want_vc !rh_commit)
-                   else begin
-                     let ok = ref false in
-                     for off = 0 to vcs - 1 do
-                       if not !ok then
-                         ok := try_alloc d ((fid + off) mod vcs) !rh_commit
-                     done
-                   end
-                 in
-                 match config.routing with
-                 | Deterministic -> escape ()
-                 | Adaptive ->
-                     (* adaptive candidates: any minimal hop on an
-                        adaptive VC, most credits first; an adaptive hop
-                        resets the escape (dateline) state so a later
-                        escape re-enters its ring fresh.  The scratch is
-                        filled in the reverse of the old prepend order
-                        and insertion-sorted stably by credits, which
-                        reproduces the original list-and-stable-sort
-                        candidate order exactly. *)
-                     let adaptive_lo =
-                       match fabric with Hypercube _ -> 1 | Torus _ -> 2
+                   let escape () =
+                     route_hop fid u;
+                     let d = neighbor_idx u !rh_next in
+                     (* under adaptive routing the hypercube escape lane is
+                        pinned to VC 0 *)
+                     let want_vc =
+                       if config.routing = Adaptive && !rh_want < 0 then 0
+                       else !rh_want
                      in
-                     let m = ref 0 in
-                     let add next =
-                       let d = neighbor_idx u next in
-                       let ow = owner.(u).(d) and cr = credits.(u).(d) in
-                       for vc' = vcs - 1 downto adaptive_lo do
-                         if ow.(vc') < 0 then begin
-                           cand_cred.(!m) <- cr.(vc');
-                           cand_d.(!m) <- d;
-                           cand_vc.(!m) <- vc';
-                           incr m
-                         end
+                     if want_vc >= 0 then
+                       ignore (try_alloc d want_vc !rh_commit)
+                     else begin
+                       let ok = ref false in
+                       for off = 0 to vcs - 1 do
+                         if not !ok then
+                           ok := try_alloc d ((fid + off) mod vcs) !rh_commit
                        done
-                     in
-                     (match fabric with
-                     | Hypercube dims ->
-                         let diff = u lxor !pq_dest.(fid) in
-                         for b = dims - 1 downto 0 do
-                           if diff land (1 lsl b) <> 0 then
-                             add (u lxor (1 lsl b))
+                     end
+                   in
+                   match config.routing with
+                   | Deterministic -> escape ()
+                   | Adaptive ->
+                       (* adaptive candidates: any minimal hop on an
+                          adaptive VC, most credits first; an adaptive hop
+                          resets the escape (dateline) state so a later
+                          escape re-enters its ring fresh.  The scratch is
+                          filled in the reverse of the old prepend order
+                          and insertion-sorted stably by credits, which
+                          reproduces the original list-and-stable-sort
+                          candidate order exactly. *)
+                       let adaptive_lo =
+                         match fabric with Hypercube _ -> 1 | Torus _ -> 2
+                       in
+                       let m = ref 0 in
+                       let add next =
+                         let d = neighbor_idx u next in
+                         let ow = owner.(u).(d) and cr = credits.(u).(d) in
+                         for vc' = vcs - 1 downto adaptive_lo do
+                           if ow.(vc') < 0 then begin
+                             cand_cred.(!m) <- cr.(vc');
+                             cand_d.(!m) <- d;
+                             cand_vc.(!m) <- vc';
+                             incr m
+                           end
                          done
-                     | Torus { k; n = dims } ->
-                         let dest = !pq_dest.(fid) in
-                         let w = ref 1 in
-                         for _j = 0 to dims - 1 do
-                           let dj = u / !w mod k and tj = dest / !w mod k in
-                           if dj <> tj then begin
-                             let fwd = (tj - dj + k) mod k in
-                             let go_plus = fwd <= k - fwd in
-                             let next_digit =
-                               if go_plus then (dj + 1) mod k
-                               else (dj + k - 1) mod k
-                             in
-                             add (u + ((next_digit - dj) * !w))
-                           end;
-                           w := !w * k
-                         done);
-                     (* stable insertion sort, credits descending *)
-                     for i = 1 to !m - 1 do
-                       let c = cand_cred.(i)
-                       and d = cand_d.(i)
-                       and v' = cand_vc.(i) in
-                       let j = ref (i - 1) in
-                       while !j >= 0 && cand_cred.(!j) < c do
-                         cand_cred.(!j + 1) <- cand_cred.(!j);
-                         cand_d.(!j + 1) <- cand_d.(!j);
-                         cand_vc.(!j + 1) <- cand_vc.(!j);
-                         decr j
+                       in
+                       (match fabric with
+                       | Hypercube dims ->
+                           let diff = u lxor !pq_dest.(fid) in
+                           for b = dims - 1 downto 0 do
+                             if diff land (1 lsl b) <> 0 then
+                               add (u lxor (1 lsl b))
+                           done
+                       | Torus { k; n = dims } ->
+                           let dest = !pq_dest.(fid) in
+                           let w = ref 1 in
+                           for _j = 0 to dims - 1 do
+                             let dj = u / !w mod k and tj = dest / !w mod k in
+                             if dj <> tj then begin
+                               let fwd = (tj - dj + k) mod k in
+                               let go_plus = fwd <= k - fwd in
+                               let next_digit =
+                                 if go_plus then (dj + 1) mod k
+                                 else (dj + k - 1) mod k
+                               in
+                               add (u + ((next_digit - dj) * !w))
+                             end;
+                             w := !w * k
+                           done);
+                       (* stable insertion sort, credits descending *)
+                       for i = 1 to !m - 1 do
+                         let c = cand_cred.(i)
+                         and d = cand_d.(i)
+                         and v' = cand_vc.(i) in
+                         let j = ref (i - 1) in
+                         while !j >= 0 && cand_cred.(!j) < c do
+                           cand_cred.(!j + 1) <- cand_cred.(!j);
+                           cand_d.(!j + 1) <- cand_d.(!j);
+                           cand_vc.(!j + 1) <- cand_vc.(!j);
+                           decr j
+                         done;
+                         cand_cred.(!j + 1) <- c;
+                         cand_d.(!j + 1) <- d;
+                         cand_vc.(!j + 1) <- v'
                        done;
-                       cand_cred.(!j + 1) <- c;
-                       cand_d.(!j + 1) <- d;
-                       cand_vc.(!j + 1) <- v'
-                     done;
-                     let done_ = ref false in
-                     let i = ref 0 in
-                     while (not !done_) && !i < !m do
-                       done_ := try_alloc cand_d.(!i) cand_vc.(!i) 2;
-                       incr i
-                     done;
-                     if not !done_ then escape ()
-               end);
-              let r = routes_i.(vc) in
-              if r >= 0 then begin
-                let d = r / vcs and out_vc = r mod vcs in
-                if used_stamp.(d) <> st && credits.(u).(d).(out_vc) > 0
-                then begin
-                  Int_ring.drop_front buf 1;
-                  granted := true;
-                  used_stamp.(d) <- st;
-                  credits.(u).(d).(out_vc) <- credits.(u).(d).(out_vc) - 1;
-                  let v = nbrs.(d) in
-                  let lat = max 1 (link_latency u v) in
-                  let v_in = back_idx.(u).(d) in
-                  let ab = arrivals.((now + lat) land wheel_mask) in
-                  Int_ring.push ab ((((v * max_inputs) + v_in) * vcs) + out_vc);
-                  Int_ring.push ab fw;
-                  (* return a credit upstream for the slot we vacated *)
-                  if in_idx < deg then begin
-                    let upstream = nbrs.(in_idx) in
-                    let d_up = back_idx.(u).(in_idx) in
-                    Int_ring.push
-                      credit_returns.((now + max 1 (link_latency upstream u))
-                                      land wheel_mask)
-                      ((((upstream * max_deg) + d_up) * vcs) + vc)
-                  end;
-                  if fw land 1 <> 0 then begin
-                    owner.(u).(d).(out_vc) <- -1;
-                    routes_i.(vc) <- -1
+                       let done_ = ref false in
+                       let i = ref 0 in
+                       while (not !done_) && !i < !m do
+                         done_ := try_alloc cand_d.(!i) cand_vc.(!i) 2;
+                         incr i
+                       done;
+                       if not !done_ then escape ()
+                 end);
+                let r = routes_i.(vc) in
+                if r >= 0 then begin
+                  let d = r / vcs and out_vc = r mod vcs in
+                  if used_stamp.(d) <> st && credits.(u).(d).(out_vc) > 0
+                  then begin
+                    Int_ring.drop_front buf 1;
+                    occupancy.(u) <- occupancy.(u) - 1;
+                    granted := true;
+                    used_stamp.(d) <- st;
+                    credits.(u).(d).(out_vc) <- credits.(u).(d).(out_vc) - 1;
+                    let v = nbrs.(d) in
+                    let lat = max 1 (link_latency u v) in
+                    let v_in = back_idx.(u).(d) in
+                    let ab = arrivals.((now + lat) land wheel_mask) in
+                    Int_ring.push ab ((((v * max_inputs) + v_in) * vcs) + out_vc);
+                    Int_ring.push ab fw;
+                    (* return a credit upstream for the slot we vacated *)
+                    if in_idx < deg then begin
+                      let upstream = nbrs.(in_idx) in
+                      let d_up = back_idx.(u).(in_idx) in
+                      Int_ring.push
+                        credit_returns.((now + max 1 (link_latency upstream u))
+                                        land wheel_mask)
+                        ((((upstream * max_deg) + d_up) * vcs) + vc)
+                    end;
+                    if fw land 1 <> 0 then begin
+                      owner.(u).(d).(out_vc) <- -1;
+                      routes_i.(vc) <- -1
+                    end
                   end
                 end
               end
             end
-          end
+          done
         done
-      done
-    done
+      end
+    done;
+    (* once injection is over, the last tracked delivery ends the run:
+       nothing after it can change a statistic *)
+    incr cycle;
+    running := !cycle < horizon && (!cycle < inject_end || !pending > 0)
   done;
   {
     injected = !injected;
@@ -479,6 +507,7 @@ let run_serial config link_latency fabric graph =
     throughput =
       float_of_int !delivered /. float_of_int (n * max 1 config.measure);
     undrained = !pending;
+    cycles = !cycle;
     latency_histogram = Histogram.to_pairs hist;
   }
 
@@ -506,9 +535,14 @@ let run_serial config link_latency fabric graph =
      packet's flit can interleave at that address.
    - {e Credit messages} are 2-int [lat, addr] pairs; credit increments
      commute, so only their arrival cycle matters, never their order.
-   - {e No early exit:} the serial engine runs the fixed horizon, so
-     there is no stop vote — the second barrier per cycle only fences
-     mailbox reuse. *)
+   - {e Stop vote.}  The run ends after the first cycle at or past
+     [warmup + measure - 1] in which no tracked packet is pending, as
+     in the serial engine.  Each shard writes its [pending] count into
+     its slot between the two barriers (per-shard counts may go
+     negative — a worm is booked where it is injected and where it is
+     delivered — only the sum means anything) and every shard sums the
+     slots after the second, so all shards stop after the same cycle:
+     the protocol {!Network_sim.run_sharded} uses. *)
 let run_sharded ~shards config link_latency fabric graph =
   let n = Graph.n graph in
   let vcs = config.vcs in
@@ -538,6 +572,7 @@ let run_sharded ~shards config link_latency fabric graph =
   in
   let wheel_mask = wheel_size - 1 in
   let horizon = config.warmup + config.measure + config.drain in
+  let inject_end = config.warmup + config.measure in
   let owner_of = Sim_shard.owner_table ~n ~shards in
   (* flit mailboxes carry 8-int messages, credit mailboxes 2-int ones;
      mail.(s).(t) is written by shard s in phase 1 and drained by shard
@@ -549,9 +584,13 @@ let run_sharded ~shards config link_latency fabric graph =
     Array.init shards (fun _ -> Array.init shards (fun _ -> Int_ring.create ()))
   in
   let barrier = Barrier.create ~parties:shards in
+  (* stop votes: slot w written by shard w between the barriers, read
+     by every shard after the second one *)
+  let vote_pending = Array.make shards 0 in
   let sh_injected = Array.make shards 0 in
   let sh_delivered = Array.make shards 0 in
   let sh_undrained = Array.make shards 0 in
+  let sh_cycles = Array.make shards 0 in
   let sh_hist = Array.init shards (fun _ -> Histogram.create ()) in
   let shard w =
     let lo, hi = Sim_shard.bounds ~n ~shards w in
@@ -685,7 +724,7 @@ let run_sharded ~shards config link_latency fabric graph =
     let cand_vc = Array.make (max_deg * vcs) 0 in
     let injected = ref 0 and delivered = ref 0 and pending = ref 0 in
     let hist = sh_hist.(w) in
-    let rr = Array.make n 0 in
+    let occupancy = Array.make n 0 in
     (* a credit for the slot just vacated at (u, in_idx, vc); upstream
        may live on any shard, so it always travels as a message *)
     let return_credit u in_idx vc =
@@ -695,7 +734,10 @@ let run_sharded ~shards config link_latency fabric graph =
       Int_ring.push m (max 1 (link_latency upstream u));
       Int_ring.push m ((((upstream * max_deg) + d_up) * vcs) + vc)
     in
-    for now = 0 to horizon - 1 do
+    let cycle = ref 0 in
+    let running = ref (horizon > 0) in
+    while !running do
+      let now = !cycle in
       (* phase 1: arrivals and credits for own routers *)
       let ab = arrivals.(now land wheel_mask) in
       let n_arr = Int_ring.length ab / 2 in
@@ -705,7 +747,9 @@ let run_sharded ~shards config link_latency fabric graph =
           let fw = Int_ring.unsafe_get ab ((2 * i) + 1) in
           let vc = addr mod vcs in
           let rest = addr / vcs in
-          Int_ring.push bufs.(rest / max_inputs).(rest mod max_inputs).(vc) fw
+          let v = rest / max_inputs in
+          occupancy.(v) <- occupancy.(v) + 1;
+          Int_ring.push bufs.(v).(rest mod max_inputs).(vc) fw
         done;
         Int_ring.drop_front ab (2 * n_arr)
       end;
@@ -723,7 +767,7 @@ let run_sharded ~shards config link_latency fabric graph =
       end;
       (* replicated injection: every shard replays the full serial draw
          sequence and gid numbering, materializing only own sources *)
-      if now < config.warmup + config.measure then
+      if now < inject_end then
         for src = 0 to n - 1 do
           if Rng.bool rng ~p:config.offered_load then begin
             let dest =
@@ -737,6 +781,7 @@ let run_sharded ~shards config link_latency fabric graph =
                 incr pending
               end;
               let lid = new_local ~gid ~dest ~born:now ~klass:0 ~dim:(-1) in
+              occupancy.(src) <- occupancy.(src) + config.packet_len;
               let inj = bufs.(src).(Array.length neighbors.(src)).(0) in
               for f = 0 to config.packet_len - 1 do
                 Int_ring.push inj
@@ -747,182 +792,186 @@ let run_sharded ~shards config link_latency fabric graph =
             end
           end
         done;
-      (* switching own routers; grants and credits become messages *)
+      (* switching own non-idle routers; grants and credits become
+         messages *)
       for u = lo to hi - 1 do
-        let nbrs = neighbors.(u) in
-        let deg = Array.length nbrs in
-        let n_inputs = deg + 1 in
-        incr stamp;
-        let st = !stamp in
-        let start = rr.(u) in
-        rr.(u) <- (start + 1) mod n_inputs;
-        for step = 0 to n_inputs - 1 do
-          let in_idx = (start + step) mod n_inputs in
-          let routes_i = route_of.(u).(in_idx) in
-          let bufs_i = bufs.(u).(in_idx) in
-          let granted = ref false in
-          for vc = 0 to vcs - 1 do
-            let buf = bufs_i.(vc) in
-            if (not !granted) && Int_ring.length buf > 0 then begin
-              let fw = Int_ring.unsafe_get buf 0 in
-              let lid = fw lsr 2 in
-              if !pq_dest.(lid) = u then begin
-                (* ejection *)
-                Int_ring.drop_front buf 1;
-                granted := true;
-                if in_idx < deg then return_credit u in_idx vc;
-                if fw land 1 <> 0 then begin
-                  routes_i.(vc) <- -1;
-                  if !pq_born.(lid) >= config.warmup then begin
-                    incr delivered;
-                    decr pending;
-                    Histogram.add hist (now - !pq_born.(lid))
-                  end;
-                  Int_ring.push free lid
+        if occupancy.(u) > 0 then begin
+          let nbrs = neighbors.(u) in
+          let deg = Array.length nbrs in
+          let n_inputs = deg + 1 in
+          incr stamp;
+          let st = !stamp in
+          let start = now mod n_inputs in
+          for step = 0 to n_inputs - 1 do
+            let in_idx = (start + step) mod n_inputs in
+            let routes_i = route_of.(u).(in_idx) in
+            let bufs_i = bufs.(u).(in_idx) in
+            let granted = ref false in
+            for vc = 0 to vcs - 1 do
+              let buf = bufs_i.(vc) in
+              if (not !granted) && Int_ring.length buf > 0 then begin
+                let fw = Int_ring.unsafe_get buf 0 in
+                let lid = fw lsr 2 in
+                if !pq_dest.(lid) = u then begin
+                  (* ejection *)
+                  Int_ring.drop_front buf 1;
+                  occupancy.(u) <- occupancy.(u) - 1;
+                  granted := true;
+                  if in_idx < deg then return_credit u in_idx vc;
+                  if fw land 1 <> 0 then begin
+                    routes_i.(vc) <- -1;
+                    if !pq_born.(lid) >= config.warmup then begin
+                      incr delivered;
+                      decr pending;
+                      Histogram.add hist (now - !pq_born.(lid))
+                    end;
+                    Int_ring.push free lid
+                  end
                 end
-              end
-              else begin
-                (if routes_i.(vc) < 0 && fw land 2 <> 0 then begin
-                   let try_alloc d vc' commit =
-                     if owner.(u).(d).(vc') < 0 then begin
-                       owner.(u).(d).(vc') <- lid;
-                       routes_i.(vc) <- (d * vcs) + vc';
-                       (match commit with
-                       | 0 -> ()
-                       | 1 ->
-                           !pq_dim.(lid) <- !rh_dim;
-                           !pq_class.(lid) <- !rh_class
-                       | _ ->
-                           !pq_dim.(lid) <- -1;
-                           !pq_class.(lid) <- 0);
-                       true
-                     end
-                     else false
-                   in
-                   let escape () =
-                     route_hop lid u;
-                     let d = neighbor_idx u !rh_next in
-                     let want_vc =
-                       if config.routing = Adaptive && !rh_want < 0 then 0
-                       else !rh_want
+                else begin
+                  (if routes_i.(vc) < 0 && fw land 2 <> 0 then begin
+                     let try_alloc d vc' commit =
+                       if owner.(u).(d).(vc') < 0 then begin
+                         owner.(u).(d).(vc') <- lid;
+                         routes_i.(vc) <- (d * vcs) + vc';
+                         (match commit with
+                         | 0 -> ()
+                         | 1 ->
+                             !pq_dim.(lid) <- !rh_dim;
+                             !pq_class.(lid) <- !rh_class
+                         | _ ->
+                             !pq_dim.(lid) <- -1;
+                             !pq_class.(lid) <- 0);
+                         true
+                       end
+                       else false
                      in
-                     if want_vc >= 0 then
-                       ignore (try_alloc d want_vc !rh_commit)
-                     else begin
-                       (* the escape scan starts at the packet id — the
-                          replicated gid, never the local store index *)
-                       let gid = !pq_gid.(lid) in
-                       let ok = ref false in
-                       for off = 0 to vcs - 1 do
-                         if not !ok then
-                           ok := try_alloc d ((gid + off) mod vcs) !rh_commit
-                       done
-                     end
-                   in
-                   match config.routing with
-                   | Deterministic -> escape ()
-                   | Adaptive ->
-                       let adaptive_lo =
-                         match fabric with Hypercube _ -> 1 | Torus _ -> 2
+                     let escape () =
+                       route_hop lid u;
+                       let d = neighbor_idx u !rh_next in
+                       let want_vc =
+                         if config.routing = Adaptive && !rh_want < 0 then 0
+                         else !rh_want
                        in
-                       let m = ref 0 in
-                       let add next =
-                         let d = neighbor_idx u next in
-                         let ow = owner.(u).(d) and cr = credits.(u).(d) in
-                         for vc' = vcs - 1 downto adaptive_lo do
-                           if ow.(vc') < 0 then begin
-                             cand_cred.(!m) <- cr.(vc');
-                             cand_d.(!m) <- d;
-                             cand_vc.(!m) <- vc';
-                             incr m
-                           end
+                       if want_vc >= 0 then
+                         ignore (try_alloc d want_vc !rh_commit)
+                       else begin
+                         (* the escape scan starts at the packet id — the
+                            replicated gid, never the local store index *)
+                         let gid = !pq_gid.(lid) in
+                         let ok = ref false in
+                         for off = 0 to vcs - 1 do
+                           if not !ok then
+                             ok := try_alloc d ((gid + off) mod vcs) !rh_commit
                          done
-                       in
-                       (match fabric with
-                       | Hypercube dims ->
-                           let diff = u lxor !pq_dest.(lid) in
-                           for b = dims - 1 downto 0 do
-                             if diff land (1 lsl b) <> 0 then
-                               add (u lxor (1 lsl b))
+                       end
+                     in
+                     match config.routing with
+                     | Deterministic -> escape ()
+                     | Adaptive ->
+                         let adaptive_lo =
+                           match fabric with Hypercube _ -> 1 | Torus _ -> 2
+                         in
+                         let m = ref 0 in
+                         let add next =
+                           let d = neighbor_idx u next in
+                           let ow = owner.(u).(d) and cr = credits.(u).(d) in
+                           for vc' = vcs - 1 downto adaptive_lo do
+                             if ow.(vc') < 0 then begin
+                               cand_cred.(!m) <- cr.(vc');
+                               cand_d.(!m) <- d;
+                               cand_vc.(!m) <- vc';
+                               incr m
+                             end
                            done
-                       | Torus { k; n = dims } ->
-                           let dest = !pq_dest.(lid) in
-                           let w = ref 1 in
-                           for _j = 0 to dims - 1 do
-                             let dj = u / !w mod k and tj = dest / !w mod k in
-                             if dj <> tj then begin
-                               let fwd = (tj - dj + k) mod k in
-                               let go_plus = fwd <= k - fwd in
-                               let next_digit =
-                                 if go_plus then (dj + 1) mod k
-                                 else (dj + k - 1) mod k
-                               in
-                               add (u + ((next_digit - dj) * !w))
-                             end;
-                             w := !w * k
-                           done);
-                       for i = 1 to !m - 1 do
-                         let c = cand_cred.(i)
-                         and d = cand_d.(i)
-                         and v' = cand_vc.(i) in
-                         let j = ref (i - 1) in
-                         while !j >= 0 && cand_cred.(!j) < c do
-                           cand_cred.(!j + 1) <- cand_cred.(!j);
-                           cand_d.(!j + 1) <- cand_d.(!j);
-                           cand_vc.(!j + 1) <- cand_vc.(!j);
-                           decr j
+                         in
+                         (match fabric with
+                         | Hypercube dims ->
+                             let diff = u lxor !pq_dest.(lid) in
+                             for b = dims - 1 downto 0 do
+                               if diff land (1 lsl b) <> 0 then
+                                 add (u lxor (1 lsl b))
+                             done
+                         | Torus { k; n = dims } ->
+                             let dest = !pq_dest.(lid) in
+                             let w = ref 1 in
+                             for _j = 0 to dims - 1 do
+                               let dj = u / !w mod k and tj = dest / !w mod k in
+                               if dj <> tj then begin
+                                 let fwd = (tj - dj + k) mod k in
+                                 let go_plus = fwd <= k - fwd in
+                                 let next_digit =
+                                   if go_plus then (dj + 1) mod k
+                                   else (dj + k - 1) mod k
+                                 in
+                                 add (u + ((next_digit - dj) * !w))
+                               end;
+                               w := !w * k
+                             done);
+                         for i = 1 to !m - 1 do
+                           let c = cand_cred.(i)
+                           and d = cand_d.(i)
+                           and v' = cand_vc.(i) in
+                           let j = ref (i - 1) in
+                           while !j >= 0 && cand_cred.(!j) < c do
+                             cand_cred.(!j + 1) <- cand_cred.(!j);
+                             cand_d.(!j + 1) <- cand_d.(!j);
+                             cand_vc.(!j + 1) <- cand_vc.(!j);
+                             decr j
+                           done;
+                           cand_cred.(!j + 1) <- c;
+                           cand_d.(!j + 1) <- d;
+                           cand_vc.(!j + 1) <- v'
                          done;
-                         cand_cred.(!j + 1) <- c;
-                         cand_d.(!j + 1) <- d;
-                         cand_vc.(!j + 1) <- v'
-                       done;
-                       let done_ = ref false in
-                       let i = ref 0 in
-                       while (not !done_) && !i < !m do
-                         done_ := try_alloc cand_d.(!i) cand_vc.(!i) 2;
-                         incr i
-                       done;
-                       if not !done_ then escape ()
-                 end);
-                let r = routes_i.(vc) in
-                if r >= 0 then begin
-                  let d = r / vcs and out_vc = r mod vcs in
-                  if used_stamp.(d) <> st && credits.(u).(d).(out_vc) > 0
-                  then begin
-                    Int_ring.drop_front buf 1;
-                    granted := true;
-                    used_stamp.(d) <- st;
-                    credits.(u).(d).(out_vc) <- credits.(u).(d).(out_vc) - 1;
-                    let v = nbrs.(d) in
-                    let lat = max 1 (link_latency u v) in
-                    let v_in = back_idx.(u).(d) in
-                    (* the flit crosses shards as a full-metadata
-                       message; for body/tail flits the receiver uses
-                       only lat/addr/flags *)
-                    let fm = flit_out.(owner_of.(v)) in
-                    Int_ring.push fm lat;
-                    Int_ring.push fm ((((v * max_inputs) + v_in) * vcs) + out_vc);
-                    Int_ring.push fm (fw land 3);
-                    Int_ring.push fm (!pq_gid.(lid));
-                    Int_ring.push fm (!pq_dest.(lid));
-                    Int_ring.push fm (!pq_born.(lid));
-                    Int_ring.push fm (!pq_class.(lid));
-                    Int_ring.push fm (!pq_dim.(lid));
-                    if in_idx < deg then return_credit u in_idx vc;
-                    if fw land 1 <> 0 then begin
-                      owner.(u).(d).(out_vc) <- -1;
-                      routes_i.(vc) <- -1;
-                      (* the tail has left this shard: retire the local
-                         store entry (the metadata now lives in the
-                         message and, for earlier flits, downstream) *)
-                      Int_ring.push free lid
+                         let done_ = ref false in
+                         let i = ref 0 in
+                         while (not !done_) && !i < !m do
+                           done_ := try_alloc cand_d.(!i) cand_vc.(!i) 2;
+                           incr i
+                         done;
+                         if not !done_ then escape ()
+                   end);
+                  let r = routes_i.(vc) in
+                  if r >= 0 then begin
+                    let d = r / vcs and out_vc = r mod vcs in
+                    if used_stamp.(d) <> st && credits.(u).(d).(out_vc) > 0
+                    then begin
+                      Int_ring.drop_front buf 1;
+                      occupancy.(u) <- occupancy.(u) - 1;
+                      granted := true;
+                      used_stamp.(d) <- st;
+                      credits.(u).(d).(out_vc) <- credits.(u).(d).(out_vc) - 1;
+                      let v = nbrs.(d) in
+                      let lat = max 1 (link_latency u v) in
+                      let v_in = back_idx.(u).(d) in
+                      (* the flit crosses shards as a full-metadata
+                         message; for body/tail flits the receiver uses
+                         only lat/addr/flags *)
+                      let fm = flit_out.(owner_of.(v)) in
+                      Int_ring.push fm lat;
+                      Int_ring.push fm ((((v * max_inputs) + v_in) * vcs) + out_vc);
+                      Int_ring.push fm (fw land 3);
+                      Int_ring.push fm (!pq_gid.(lid));
+                      Int_ring.push fm (!pq_dest.(lid));
+                      Int_ring.push fm (!pq_born.(lid));
+                      Int_ring.push fm (!pq_class.(lid));
+                      Int_ring.push fm (!pq_dim.(lid));
+                      if in_idx < deg then return_credit u in_idx vc;
+                      if fw land 1 <> 0 then begin
+                        owner.(u).(d).(out_vc) <- -1;
+                        routes_i.(vc) <- -1;
+                        (* the tail has left this shard: retire the local
+                           store entry (the metadata now lives in the
+                           message and, for earlier flits, downstream) *)
+                        Int_ring.push free lid
+                      end
                     end
                   end
                 end
               end
-            end
+            done
           done
-        done
+        end
       done;
       Barrier.wait barrier;
       (* phase 2: drain inbound mailboxes in ascending source-shard
@@ -966,11 +1015,17 @@ let run_sharded ~shards config link_latency fabric graph =
         done;
         Int_ring.clear cm
       done;
-      Barrier.wait barrier
+      vote_pending.(w) <- !pending;
+      Barrier.wait barrier;
+      incr cycle;
+      running :=
+        !cycle < horizon
+        && (!cycle < inject_end || Array.fold_left ( + ) 0 vote_pending > 0)
     done;
     sh_injected.(w) <- !injected;
     sh_delivered.(w) <- !delivered;
-    sh_undrained.(w) <- !pending
+    sh_undrained.(w) <- !pending;
+    sh_cycles.(w) <- !cycle
   in
   Domain_pool.gang ~workers:shards
     ~abort:(fun () -> Barrier.break barrier)
@@ -994,6 +1049,7 @@ let run_sharded ~shards config link_latency fabric graph =
     throughput =
       float_of_int !delivered /. float_of_int (n * max 1 config.measure);
     undrained = !undrained;
+    cycles = sh_cycles.(0);
     latency_histogram = Histogram.to_pairs hist;
   }
 
@@ -1010,6 +1066,7 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs fabric =
   | _ -> ());
   let graph = graph_of_fabric fabric in
   let n = Graph.n graph in
+  if n < 2 then invalid_arg "Wormhole.run: need at least 2 nodes";
   let shards = Sim_shard.shards ~jobs ~n in
   if shards <= 1 then run_serial config link_latency fabric graph
   else run_sharded ~shards config link_latency fabric graph

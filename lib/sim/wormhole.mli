@@ -51,14 +51,20 @@ type result = {
   max_latency : int;
   throughput : float;    (** delivered packets / (nodes * measure) *)
   undrained : int;
-      (** tracked packets still in the network at the horizon (always
-          [injected - delivered]); these used to vanish from the stats
-          silently *)
+      (** tracked packets left in the network when the run hit the
+          horizon (always [injected - delivered]; 0 when the run stopped
+          early) *)
+  cycles : int;
+      (** cycles simulated: the run stops after the first cycle at or
+          past [warmup + measure - 1] in which no tracked packet is
+          pending, and at the horizon [warmup + measure + drain] at the
+          latest; nothing after that stop could change a statistic *)
   latency_histogram : (int * int) array;
       (** [(latency, count)] in ascending latency order *)
 }
 
 val pp_result : Format.formatter -> result -> unit
+(** One line of statistics; [cycles] is not printed. *)
 
 val run :
   ?config:config ->
@@ -66,8 +72,10 @@ val run :
   ?jobs:int ->
   fabric ->
   result
-(** Simulates the fabric; raises [Invalid_argument] for a torus with
-    fewer than 2 VCs.
+(** Simulates the fabric; raises [Invalid_argument] for a fabric
+    parameter its constructor rejects, a fabric of fewer than 2 nodes,
+    [packet_len < 1], [vcs < 1], a torus with fewer than 2 VCs, or
+    adaptive routing with fewer VCs than it needs.
 
     [jobs] shards the routers across that many domains (capped at the
     node count) in barrier-phased lockstep, byte-identical to the
