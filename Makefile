@@ -40,8 +40,8 @@ lint:
 # what CI runs: full build, test suite, the benchmark's smoke test,
 # and a CLI smoke pass (list + one validated layout + a malformed spec
 # that must fail + malformed wormhole fabrics that must exit 2 + the
-# --json/bench-emit telemetry surfaces, which self-validate + sharded
-# vs serial parity of sim and wormhole)
+# --json/bench-emit telemetry surfaces, which self-validate + --jobs N
+# vs --jobs 1 parity of sim and wormhole)
 check: lint
 	dune build @all
 	dune runtest
@@ -68,14 +68,19 @@ check: lint
 	cmp SIM_jobs1.json SIM_jobs2.json
 	MVL_FORCE_FORK=1 dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 4 --stable --json > SIM_fork.json
 	cmp SIM_jobs1.json SIM_fork.json
-	rm -f SIM_jobs1.json SIM_jobs2.json SIM_fork.json
+	dune exec bin/mvl_cli.exe -- sim hypercube:8 -l 4 --load 0.3 --jobs 1 --stable --json > SIM_jobs1.json
+	dune exec bin/mvl_cli.exe -- sim hypercube:8 -l 4 --load 0.3 --jobs 3 --stable --json > SIM_jobs3.json
+	cmp SIM_jobs1.json SIM_jobs3.json
+	rm -f SIM_jobs1.json SIM_jobs2.json SIM_jobs3.json SIM_fork.json
 	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 1 > WH_jobs1.txt
 	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 4 > WH_jobs4.txt
 	cmp WH_jobs1.txt WH_jobs4.txt
+	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 3 > WH_jobs3.txt
+	cmp WH_jobs1.txt WH_jobs3.txt
 	dune exec bin/mvl_cli.exe -- wormhole torus:4:2 --adaptive --load 0.1 --jobs 1 > WH_jobs1.txt
 	dune exec bin/mvl_cli.exe -- wormhole torus:4:2 --adaptive --load 0.1 --jobs 4 > WH_jobs4.txt
 	cmp WH_jobs1.txt WH_jobs4.txt
-	rm -f WH_jobs1.txt WH_jobs4.txt
+	rm -f WH_jobs1.txt WH_jobs3.txt WH_jobs4.txt
 	dune exec bench/main.exe -- throughput --quick -o BENCH_sim_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.sim/1"' BENCH_sim_quick.json
 	dune exec bench/main.exe -- throughput --quick --jobs 1 --stable -o BENCH_sim_jobs1.json > /dev/null

@@ -162,8 +162,8 @@ let measure_scaling p ~pattern =
     in
     if r <> base_r then (
       Printf.eprintf
-        "bench throughput: sharded run (--jobs %d) diverged from serial on \
-         %s load=%.2f — engine byte-identity violated\n"
+        "bench throughput: sharded run (--jobs %d) diverged from --jobs 1 \
+         on %s load=%.2f — engine byte-identity violated\n"
         jobs spec_str load;
       exit 1);
     let speedup = if t > 0.0 then base_t /. t else 0.0 in

@@ -635,9 +635,9 @@ let sim_cmd =
           ~doc:
             "Shard the simulated routers over $(docv) domains advancing \
              in barrier-phased lockstep.  Statistics are byte-identical \
-             to the serial engine for every $(docv) (absent, 1, or \
-             under MVL_FORCE_FORK=1 the serial engine runs and no \
-             domain is spawned).")
+             for every $(docv) (absent, 1, or under MVL_FORCE_FORK=1 \
+             one shard runs in the calling domain and no domain is \
+             spawned).")
   in
   let stable_arg =
     Arg.(
@@ -800,8 +800,8 @@ let wormhole_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
             "Shard the routers over $(docv) domains in barrier-phased \
-             lockstep; statistics are byte-identical to the serial \
-             engine for every $(docv).")
+             lockstep; statistics are byte-identical for every \
+             $(docv).")
   in
   let run fabric load adaptive vcs jobs =
     let cfg =

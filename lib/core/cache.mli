@@ -1,10 +1,10 @@
 (** Cost- and size-aware bounded cache: GreedyDual-Size-Frequency
     (GDSF) admission/eviction over a hash table.
 
-    Plain FIFO eviction ({!Bounded_fifo}) treats a layout that took
-    seconds to build exactly like one that took microseconds, so a
-    sweep over cheap specs flushes the expensive residents the next
-    client is about to ask for.  GDSF ranks every entry by
+    Plain FIFO eviction treats a layout that took seconds to build
+    exactly like one that took microseconds, so a sweep over cheap
+    specs flushes the expensive residents the next client is about to
+    ask for.  GDSF ranks every entry by
 
     {v priority = clock + frequency * cost / size v}
 

@@ -53,11 +53,15 @@ let link_latency_of_layout ?(units_per_cycle = 64) layout =
   fun u v ->
     1 + (Mvl_routing.Route.edge_length route u v / max 1 units_per_cycle)
 
-(* The engine is a cycle-driven loop over preallocated flat structures;
-   per cycle it allocates nothing once the rings and the histogram have
-   reached their high-water marks.  The semantics (and fixed-seed
-   statistics) are bit-identical to the original list/Hashtbl engine —
-   the golden-determinism tests pin that down.
+(* One engine for every [jobs] value: the routers are partitioned into
+   [shards] contiguous ranges, one domain each, advancing in
+   barrier-phased lockstep (two barriers per cycle).  With one shard
+   {!Domain_pool.gang} runs it in the calling domain and nothing is
+   spawned.  Per cycle it allocates nothing once the rings and the
+   histogram have reached their high-water marks, and its fixed-seed
+   statistics are bit-identical to the original list/Hashtbl engine at
+   every shard count — the golden-determinism and parity tests pin that
+   down; DESIGN.md §8 and §11 give the argument.
 
    Layout of the hot state:
 
@@ -81,274 +85,56 @@ let link_latency_of_layout ?(units_per_cycle = 64) layout =
    - Routing is a transposed table: [next_out.(u).(dest)], so one
      router's scan stays inside a single row (the per-destination
      arrays of {!Routing_table} would scatter it across as many arrays
-     as there are destinations in the queue).  Columns fill lazily the
-     first time a destination is drawn.
+     as there are destinations in the queue).
    - The per-router grant set is a node-indexed scratch array versioned
      by a generation counter, replacing the per-router-per-cycle
      [Hashtbl.create 8].
    - Delivered latencies accumulate into a dense {!Histogram} instead
-     of an ever-growing list. *)
-let run_serial config link_latency graph =
-  let n = Graph.n graph in
-  let rng = Rng.create ~seed:config.seed in
-  let inj =
-    Traffic.injector config.traffic ~offered_load:config.offered_load
-      ~n_nodes:n rng
-  in
-  let routing = Routing_table.create ~edge_cost:link_latency graph in
-  (* packed-word geometry: low [dshift] bits carry the destination *)
-  let dshift =
-    let b = ref 1 in
-    while 1 lsl !b < n do
-      incr b
-    done;
-    !b
-  in
-  let dmask = (1 lsl dshift) - 1 in
-  (* transposed routing tables, filled lazily per destination *)
-  let next_out = Array.init n (fun _ -> Array.make n (-1)) in
-  let dest_built = Array.make n false in
-  let ensure_dest dest =
-    if not dest_built.(dest) then begin
-      let tbl = Routing_table.table routing dest in
-      for u = 0 to n - 1 do
-        next_out.(u).(dest) <- tbl.(u)
-      done;
-      dest_built.(dest) <- true
-    end
-  in
-  (* packet store (structure of arrays) + free-list recycling *)
-  let pk_born = ref (Array.make 1024 0) in
-  let pk_hops = ref (Array.make 1024 0) in
-  let n_pids = ref 0 in
-  let free = Int_ring.create () in
-  let acquire ~dest ~born =
-    ensure_dest dest;
-    let pid =
-      if Int_ring.length free > 0 then Int_ring.pop free
-      else begin
-        let cap = Array.length !pk_born in
-        if !n_pids = cap then begin
-          let born' = Array.make (cap * 2) 0 in
-          let hops' = Array.make (cap * 2) 0 in
-          Array.blit !pk_born 0 born' 0 cap;
-          Array.blit !pk_hops 0 hops' 0 cap;
-          pk_born := born';
-          pk_hops := hops'
-        end;
-        let p = !n_pids in
-        incr n_pids;
-        p
-      end
-    in
-    !pk_born.(pid) <- born;
-    !pk_hops.(pid) <- 0;
-    (pid lsl dshift) lor dest
-  in
-  (* timing wheel sized from the slowest link, rounded up to a power of
-     two so the slot computation is a mask; each bucket holds
-     interleaved (node, packed packet) pairs *)
-  let max_lat = ref 1 in
-  Graph.iter_edges graph (fun u v ->
-      max_lat := max !max_lat (max 1 (link_latency u v));
-      max_lat := max !max_lat (max 1 (link_latency v u)));
-  let wheel_size =
-    let c = ref 1 in
-    while !c < !max_lat + 1 do
-      c := !c * 2
-    done;
-    !c
-  in
-  let wheel_mask = wheel_size - 1 in
-  let unit_latency = !max_lat = 1 in
-  let bucket = Array.init wheel_size (fun _ -> Int_ring.create ()) in
-  let in_flight = ref 0 in
-  (* router queues; [visible.(u)] = the old q_front length *)
-  let queue = Array.init n (fun _ -> Int_ring.create ()) in
-  let visible = Array.make n 0 in
-  (* grant scratch: output port [v] is taken in this scan iff
-     [granted_gen.(v) = gen] *)
-  let granted_gen = Array.make n 0 in
-  let gen = ref 0 in
-  (* scan decisions for the <= lookahead packets examined per router *)
-  let keep = ref (Array.make 64 false) in
-  let ensure_keep k =
-    if k > Array.length !keep then begin
-      let cap = ref (Array.length !keep) in
-      while !cap < k do
-        cap := !cap * 2
-      done;
-      keep := Array.make !cap false
-    end
-  in
-  let horizon = config.warmup + config.measure + config.drain in
-  let injected = ref 0 and delivered = ref 0 in
-  let hist = Histogram.create () in
-  let hop_total = ref 0 in
-  let pending_tracked = ref 0 in
-  let cycle = ref 0 in
-  let continue = ref true in
-  while !continue do
-    let now = !cycle in
-    (* arrivals land in router queues (or terminate) *)
-    let b = bucket.(now land wheel_mask) in
-    let landed = Int_ring.length b / 2 in
-    if landed > 0 then begin
-      in_flight := !in_flight - landed;
-      let born_a = !pk_born and hops_a = !pk_hops in
-      for i = 0 to landed - 1 do
-        let node = Int_ring.unsafe_get b (2 * i) in
-        let v = Int_ring.unsafe_get b ((2 * i) + 1) in
-        if node = v land dmask then begin
-          let pid = v lsr dshift in
-          let born = Array.unsafe_get born_a pid in
-          if born >= config.warmup then begin
-            delivered := !delivered + 1;
-            pending_tracked := !pending_tracked - 1;
-            Histogram.add hist (now - born);
-            hop_total := !hop_total + Array.unsafe_get hops_a pid
-          end;
-          Int_ring.push free pid
-        end
-        else Int_ring.push queue.(node) v
-      done;
-      Int_ring.drop_front b (2 * landed)
-    end;
-    (* injection *)
-    if now < config.warmup + config.measure then
-      for src = 0 to n - 1 do
-        if Traffic.inject inj rng ~src then begin
-          let dest =
-            Traffic.destination config.traffic rng ~n_nodes:n ~src
-          in
-          if now >= config.warmup then begin
-            injected := !injected + 1;
-            pending_tracked := !pending_tracked + 1
-          end;
-          Int_ring.push queue.(src) (acquire ~dest ~born:now)
-        end
-      done;
-    (* switching: scan each router's visible window up to the lookahead
-       depth, granting at most one packet per output port *)
-    let hops_a = !pk_hops in
-    for u = 0 to n - 1 do
-      let q = queue.(u) in
-      if visible.(u) = 0 && Int_ring.length q > 0 then
-        visible.(u) <- Int_ring.length q;
-      let vis = visible.(u) in
-      if vis > 0 then begin
-        incr gen;
-        let g = !gen in
-        let k = if config.lookahead < vis then config.lookahead else vis in
-        ensure_keep k;
-        let keep = !keep in
-        let row = Array.unsafe_get next_out u in
-        let granted = ref 0 in
-        (* pass 1: decide (and schedule) in queue order *)
-        for i = 0 to k - 1 do
-          let v = Int_ring.unsafe_get q i in
-          let out = Array.unsafe_get row (v land dmask) in
-          if out < 0 then invalid_arg "Network_sim.run: unreachable node";
-          if Array.unsafe_get granted_gen out = g then
-            Array.unsafe_set keep i true
-          else begin
-            Array.unsafe_set granted_gen out g;
-            Array.unsafe_set keep i false;
-            let pid = v lsr dshift in
-            Array.unsafe_set hops_a pid (Array.unsafe_get hops_a pid + 1);
-            let lat =
-              if unit_latency then 1 else max 1 (link_latency u out)
-            in
-            let b = Array.unsafe_get bucket ((now + lat) land wheel_mask) in
-            Int_ring.push b out;
-            Int_ring.push b v;
-            incr in_flight;
-            granted := !granted + 1
-          end
-        done;
-        if !granted > 0 then begin
-          (* pass 2: right-align the kept packets inside the scanned
-             prefix, then drop the vacated front slots *)
-          let w = ref (k - 1) in
-          for i = k - 1 downto 0 do
-            if Array.unsafe_get keep i then begin
-              if !w <> i then
-                Int_ring.unsafe_set q !w (Int_ring.unsafe_get q i);
-              decr w
-            end
-          done;
-          Int_ring.drop_front q !granted;
-          visible.(u) <- vis - !granted
-        end
-      end
-    done;
-    incr cycle;
-    if !cycle >= horizon then continue := false
-    else if
-      !cycle >= config.warmup + config.measure
-      && !pending_tracked = 0
-      && !in_flight = 0
-    then continue := false
-  done;
-  {
-    injected = !injected;
-    delivered = !delivered;
-    hop_total = !hop_total;
-    avg_latency = Histogram.mean hist;
-    p50_latency = Histogram.percentile hist 50;
-    p95_latency = Histogram.percentile hist 95;
-    p99_latency = Histogram.percentile hist 99;
-    max_latency = Histogram.max_value hist;
-    throughput =
-      float_of_int !delivered /. float_of_int (n * max 1 config.measure);
-    avg_hops =
-      (if !delivered = 0 then 0.0
-       else float_of_int !hop_total /. float_of_int !delivered);
-    cycles = !cycle;
-    undrained = !pending_tracked;
-    latency_histogram = Histogram.to_pairs hist;
-  }
+     of an ever-growing list.
 
-(* Domain-sharded engine: routers are partitioned into [shards]
-   contiguous ranges, one domain each, advancing in barrier-phased
-   lockstep (two barriers per cycle).  Stats are byte-identical to
-   {!run_serial} for any shard count; DESIGN.md §11 gives the full
-   argument.  The load-bearing pieces:
+   What keeps the shards byte-identical to one another:
 
    - {e Replicated injection stream.}  Each shard holds its own [Rng]
-     seeded with [config.seed] and replays the serial engine's entire
-     per-cycle injection loop over all [n] sources — [Rng.bool] and the
+     seeded with [config.seed] and replays the entire per-cycle
+     injection loop over all [n] sources — [Rng.bool] and the
      destination draw consume the same number of splitmix64 steps
      everywhere — but materializes packets only for sources it owns.
      Splitting one stream across shards is impossible (bounded draws use
      rejection sampling, so the positions a source consumes depend on
      every earlier draw), and per-shard [split_seed] streams would
-     change the stats; replaying the one serial stream is what keeps
-     them bit-identical.
-   - {e Mailbox-routed grants.}  Phase 1: each shard drains its own
-     wheel bucket, injects, and switches its own routers in ascending
-     order; every grant (own-shard destinations included) is buffered as
-     a 5-int message [lat, out, dest, born, hops] into the
-     per-(src-shard, dst-shard) mailbox.  Phase 2 (after a barrier):
-     each shard drains its inbound mailboxes in ascending source-shard
-     order, transferring messages into its wheel.  Shard ranges ascend
-     with the shard index, so (ascending shard, push order) concatenates
-     to exactly the serial engine's ascending-router push order — wheel
-     buckets fill in the serial order, so arrival processing, queue
-     contents and every subsequent decision match cycle for cycle.
+     change the stats; replaying the one stream is what keeps them
+     bit-identical.
+   - {e Wheel order.}  A bucket's order sets the queue order at a node,
+     and the order to keep is (send cycle, source router).  Phase 1:
+     each shard drains its own wheel bucket, injects, and switches its
+     own routers in ascending order, buffering grants as 5-int messages
+     [lat, out, dest, born, hops] in the per-(src-shard, dst-shard)
+     mailbox.  Phase 2 (after a barrier): each shard drains its inbound
+     mailboxes in ascending source-shard order into its wheel.  Shard
+     ranges ascend with the shard index, so (ascending shard, push
+     order) is ascending-router order.  Shard 0 alone pushes its own
+     grants straight into its wheel in phase 1, keeping the pid and
+     bumping [hops] in place: no lower shard exists whose grants must
+     precede them.  Any other shard's own grants would jump ahead of
+     its lower neighbours' in phase 1, so they take the mailbox.  With
+     one shard no grant becomes a message.
    - {e Local packet stores.}  Packet ids are shard-local (the packed
      word's pid field never crosses a shard boundary): the sender
      retires its pid when the grant becomes a message, the receiver
-     acquires a fresh one on transfer.  Serial pid numbering differs,
-     but pids are pure store indices — no decision ever reads one.
+     acquires a fresh one on transfer.  Pid numbering depends on the
+     shard count, but pids are pure store indices — no decision ever
+     reads one.
    - {e Stop votes.}  Each shard publishes its pending/in-flight counts
      (per-shard [pending] may go negative: injector and deliverer
      shards book the same packet asymmetrically — only the sum is
      meaningful) between the barriers; after the second barrier every
      shard sums the same arrays and reaches the same stop decision, so
-     all shards run the same number of cycles as the serial engine. *)
-let run_sharded ~shards config link_latency graph =
+     all shards run the same number of cycles. *)
+let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs graph =
   let n = Graph.n graph in
+  if n < 2 then invalid_arg "Network_sim.run: need at least 2 nodes";
+  let shards = Sim_shard.shards ~jobs ~n in
+  (* packed-word geometry: low [dshift] bits carry the destination *)
   let dshift =
     let b = ref 1 in
     while 1 lsl !b < n do
@@ -365,6 +151,8 @@ let run_sharded ~shards config link_latency graph =
   let dests = Traffic.destinations config.traffic ~n_nodes:n in
   let n_dests = Array.length dests in
   let next_out = Array.init n (fun _ -> Array.make n (-1)) in
+  (* timing wheel sized from the slowest link, rounded up to a power of
+     two so the slot computation is a mask *)
   let max_lat = ref 1 in
   Graph.iter_edges graph (fun u v ->
       max_lat := max !max_lat (max 1 (link_latency u v));
@@ -399,10 +187,12 @@ let run_sharded ~shards config link_latency graph =
   let sh_hist = Array.init shards (fun _ -> Histogram.create ()) in
   let shard w =
     let lo, hi = Sim_shard.bounds ~n ~shards w in
+    (* grants to routers below [direct_hi] skip the mailbox: shard 0's
+       own routers, and nobody else's (see the wheel-order note) *)
+    let direct_hi = if w = 0 then hi else 0 in
     let rng = Rng.create ~seed:config.seed in
     (* every shard replicates the full injection process (init draws
-       included) so the per-shard streams stay byte-identical to the
-       serial engine's *)
+       included) so the per-shard streams stay byte-identical *)
     let inj =
       Traffic.injector config.traffic ~offered_load:config.offered_load
         ~n_nodes:n rng
@@ -435,17 +225,22 @@ let run_sharded ~shards config link_latency graph =
       !pk_hops.(pid) <- hops;
       (pid lsl dshift) lor dest
     in
+    (* each bucket holds interleaved (node, packed packet) pairs *)
     let bucket = Array.init wheel_size (fun _ -> Int_ring.create ()) in
     let in_flight = ref 0 in
-    (* only own rows are ever touched; foreign slots share one dummy *)
+    (* router queues and their [visible] windows; only own rows are
+       ever touched, foreign slots share one dummy *)
     let dummy = Int_ring.create () in
     let queue =
       Array.init n (fun u ->
           if u >= lo && u < hi then Int_ring.create () else dummy)
     in
     let visible = Array.make n 0 in
+    (* grant scratch: output port [v] is taken in this scan iff
+       [granted_gen.(v) = gen] *)
     let granted_gen = Array.make n 0 in
     let gen = ref 0 in
+    (* scan decisions for the <= lookahead packets examined per router *)
     let keep = ref (Array.make 64 false) in
     let ensure_keep k =
       if k > Array.length !keep then begin
@@ -461,7 +256,7 @@ let run_sharded ~shards config link_latency graph =
     let hop_total = ref 0 in
     let pending_tracked = ref 0 in
     let cycle = ref 0 in
-    let continue = ref true in
+    let continue = ref (horizon > 0) in
     (* pre-build this shard's slice of the shared routing matrix:
        disjoint (u, dest) cells per shard, published by the barrier *)
     let dlo = w * n_dests / shards and dhi = (w + 1) * n_dests / shards in
@@ -475,7 +270,7 @@ let run_sharded ~shards config link_latency graph =
     Barrier.wait barrier;
     while !continue do
       let now = !cycle in
-      (* phase 1: arrivals at own routers *)
+      (* phase 1: arrivals land in own router queues (or terminate) *)
       let b = bucket.(now land wheel_mask) in
       let landed = Int_ring.length b / 2 in
       if landed > 0 then begin
@@ -499,7 +294,7 @@ let run_sharded ~shards config link_latency graph =
         done;
         Int_ring.drop_front b (2 * landed)
       end;
-      (* replicated injection: every shard replays the full serial draw
+      (* replicated injection: every shard replays the full draw
          sequence, materializing only its own sources *)
       if now < config.warmup + config.measure then
         for src = 0 to n - 1 do
@@ -516,7 +311,8 @@ let run_sharded ~shards config link_latency graph =
             end
           end
         done;
-      (* switching own routers; grants become mailbox messages *)
+      (* switching: scan each own router's visible window up to the
+         lookahead depth, granting at most one packet per output port *)
       let hops_a = !pk_hops in
       for u = lo to hi - 1 do
         let q = queue.(u) in
@@ -531,6 +327,7 @@ let run_sharded ~shards config link_latency graph =
           let keep = !keep in
           let row = Array.unsafe_get next_out u in
           let granted = ref 0 in
+          (* pass 1: decide (and schedule) in queue order *)
           for i = 0 to k - 1 do
             let v = Int_ring.unsafe_get q i in
             let out = Array.unsafe_get row (v land dmask) in
@@ -541,24 +338,34 @@ let run_sharded ~shards config link_latency graph =
               Array.unsafe_set granted_gen out g;
               Array.unsafe_set keep i false;
               let pid = v lsr dshift in
-              let hops = Array.unsafe_get hops_a pid + 1 in
               let lat =
                 if unit_latency then 1 else max 1 (link_latency u out)
               in
-              (* the grant leaves this shard as a message; the local pid
-                 retires (data travels in the message, and the receiver
-                 acquires a pid of its own) *)
-              let m = Array.unsafe_get mail_out (Array.unsafe_get owner out) in
-              Int_ring.push m lat;
-              Int_ring.push m out;
-              Int_ring.push m (v land dmask);
-              Int_ring.push m (Array.unsafe_get !pk_born pid);
-              Int_ring.push m hops;
-              Int_ring.push free pid;
+              if out < direct_hi then begin
+                Array.unsafe_set hops_a pid (Array.unsafe_get hops_a pid + 1);
+                let b = Array.unsafe_get bucket ((now + lat) land wheel_mask) in
+                Int_ring.push b out;
+                Int_ring.push b v;
+                incr in_flight
+              end
+              else begin
+                (* the grant leaves as a message; the local pid retires
+                   (data travels in the message, and the receiver
+                   acquires a pid of its own) *)
+                let m = Array.unsafe_get mail_out (Array.unsafe_get owner out) in
+                Int_ring.push m lat;
+                Int_ring.push m out;
+                Int_ring.push m (v land dmask);
+                Int_ring.push m (Array.unsafe_get !pk_born pid);
+                Int_ring.push m (Array.unsafe_get hops_a pid + 1);
+                Int_ring.push free pid
+              end;
               granted := !granted + 1
             end
           done;
           if !granted > 0 then begin
+            (* pass 2: right-align the kept packets inside the scanned
+               prefix, then drop the vacated front slots *)
             let w' = ref (k - 1) in
             for i = k - 1 downto 0 do
               if Array.unsafe_get keep i then begin
@@ -574,8 +381,7 @@ let run_sharded ~shards config link_latency graph =
       done;
       Barrier.wait barrier;
       (* phase 2: drain inbound mailboxes in ascending source-shard
-         order — concatenation equals the serial ascending-router push
-         order, so wheel buckets fill exactly as in the serial engine *)
+         order, so wheel buckets fill in ascending-router order *)
       for s = 0 to shards - 1 do
         let m = mail.(s).(w) in
         let msgs = Int_ring.length m / 5 in
@@ -646,13 +452,6 @@ let run_sharded ~shards config link_latency graph =
     undrained = !undrained;
     latency_histogram = Histogram.to_pairs hist;
   }
-
-let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs graph =
-  let n = Graph.n graph in
-  if n < 2 then invalid_arg "Network_sim.run: need at least 2 nodes";
-  let shards = Sim_shard.shards ~jobs ~n in
-  if shards <= 1 then run_serial config link_latency graph
-  else run_sharded ~shards config link_latency graph
 
 let saturation_throughput ?(config = default_config) ?link_latency graph =
   let cfg = { config with offered_load = 0.95 } in

@@ -65,11 +65,12 @@ val run :
 
     [jobs] shards the routers across that many domains (capped at the
     node count) advancing in barrier-phased lockstep; the result is
-    byte-identical to the serial engine for every [jobs] value — same
-    counts, percentiles and histogram, enforced by the parity tests.
-    Omitted, [<= 1], or under [MVL_FORCE_FORK=1] (domains would
-    permanently disable the fork backend) the serial engine runs and no
-    domain is spawned. *)
+    byte-identical for every [jobs] value — same counts, percentiles
+    and histogram, enforced by the parity tests.  Omitted, [<= 1], or
+    under [MVL_FORCE_FORK=1] (domains would permanently disable the fork
+    backend) one shard runs in the calling domain and no domain is
+    spawned.  A zero horizon ([warmup + measure + drain = 0]) simulates
+    no cycle. *)
 
 val link_latency_of_layout :
   ?units_per_cycle:int -> Mvl_layout.Layout.t -> int -> int -> int

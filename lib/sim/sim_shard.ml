@@ -1,17 +1,17 @@
-(* Shard-count policy and router partition shared by both sharded
-   simulator engines.
+(* Shard-count policy and router partition shared by both simulator
+   engines.
 
    The contiguous even partition [w*n/S, (w+1)*n/S) is load-balanced to
    within one router and — because shard ranges ascend with the shard
    index — concatenating per-shard event streams in ascending shard
-   order reproduces the serial engine's global ascending-router order.
-   That identity is what makes the phase-2 mailbox drain deterministic
-   and byte-identical to serial (DESIGN.md §11). *)
+   order reproduces the global ascending-router order.  That identity
+   is what makes the phase-2 mailbox drain deterministic and
+   byte-identical at every shard count (DESIGN.md §11). *)
 
 (* mirror of Parallel.force_fork, which lives above this library in the
    dependency order: under the fork backend no domain may ever be
    spawned (OCaml 5 permanently refuses [Unix.fork] afterwards), so the
-   engines must degrade to their serial path *)
+   engines must stay at one shard *)
 let env_force_fork () =
   match Sys.getenv_opt "MVL_FORCE_FORK" with
   | Some ("1" | "true" | "yes") -> true

@@ -193,7 +193,7 @@ let inject inj rng ~src =
   | On_off o ->
       (* decide from the pre-transition state, then advance it; the
          draw order is part of the replicated-stream contract between
-         the serial and sharded simulator engines *)
+         the shards of the simulator engines *)
       let was_on = o.on.(src) in
       let fire = was_on && Rng.bool rng ~p:o.r_on in
       o.on.(src) <-

@@ -86,7 +86,6 @@ val injector : t -> offered_load:float -> n_nodes:int -> Rng.t -> injector
 val inject : injector -> Rng.t -> src:int -> bool
 (** Should [src] inject a packet this cycle?  Draw order per call is
     fixed (decision from the pre-transition state, then the state
-    advance) — both simulator engines call this for {e every} source
-    every cycle in source order, which is what keeps the sharded
-    engine's replicated RNG streams byte-identical to the serial
-    engine's. *)
+    advance) — every shard of both simulator engines calls this for
+    {e every} source every cycle in source order, which is what keeps
+    the replicated RNG streams byte-identical at every shard count. *)

@@ -62,8 +62,12 @@ let graph_of_fabric = function
 
 (* ------------------------------------------------------------------ *)
 
-(* Like {!Network_sim}, the flit-level engine keeps its hot state in
-   flat preallocated structures so the steady state allocates nothing:
+(* One flit engine for every [jobs] value: routers are partitioned into
+   contiguous shards, one domain each, in the barrier-phased lockstep of
+   {!Network_sim.run} (DESIGN.md §11); with one shard
+   {!Domain_pool.gang} runs it in the calling domain and nothing is
+   spawned.  Like {!Network_sim}, it keeps its hot state in flat
+   preallocated structures so the steady state allocates nothing:
 
    - packets are ids into structure-of-arrays fields ([pq_dest] /
      [pq_born] / dateline state); a flit is the packed word
@@ -71,33 +75,75 @@ let graph_of_fabric = function
      monomorphic {!Int_ring} instead of a [flit Queue.t];
    - link arrivals and credit returns travel through power-of-two
      timing wheels (slot = [cycle land mask]) instead of per-cycle
-     [Hashtbl]s of prepend-built lists.  Arrival buckets interleave
-     (input address, flit) pairs and drain in push order — the FIFO
-     order the old [List.rev] restored; credit increments commute, so
-     their drain order is free;
+     [Hashtbl]s of prepend-built lists;
    - the adaptive candidate scan fills scratch arrays and runs a stable
      insertion sort, reproducing [List.sort]'s (stable) most-credits
      order over the prepend-built candidate list exactly;
    - the per-router [out_used] set is a scratch array versioned by a
-     generation counter, and upstream input indexes ([neighbor_idx])
-     are precomputed instead of searched per credit event.
+     generation counter, and upstream input indexes ([back_idx]) are
+     precomputed instead of searched per credit event.
 
    Two rules keep it from scanning an empty fabric (DESIGN.md §8):
 
    - the run ends after the first cycle at or past [warmup + measure -
      1] in which no tracked packet is pending — injection is over, so
      no statistic can change after it — and the horizon is only the
-     cap;
+     cap.  Each shard writes its [pending] count into its slot between
+     the two barriers (per-shard counts may go negative — a worm is
+     booked where it is injected and where it is delivered — only the
+     sum means anything) and every shard sums the slots after the
+     second, so all shards stop after the same cycle;
    - [occupancy.(u)] counts the flits buffered at router [u] over all
      its inputs, and the switch loop skips a router holding none.
      Nothing else in its scan changes when a router is idle: the
      round-robin input start is [now mod n_inputs], and [stamp] only
-     has to be fresh per scanned router. *)
+     has to be fresh per scanned router.
 
-let run_serial config link_latency fabric graph =
+   What keeps every shard count byte-identical:
+
+   - {e Replicated global packet ids.}  Unlike Network_sim's pids,
+     wormhole packet ids are semantically load-bearing: the escape VC
+     scan starts at [(id + off) mod vcs].  Every shard therefore replays
+     the full injection loop (same replicated [Rng] stream) {e and}
+     advances a replica of the global id counter for every injection
+     network-wide, so a packet's [gid] is identical on every shard.
+     The store index ([lid]) stays shard-local and recycles through a
+     free list; [gid] rides in the store next to dest/born/class/dim.
+   - {e Own-shard traffic goes straight to the wheels.}  A granted flit
+     whose downstream router is on the same shard is pushed into the
+     arrival wheel with its local id, and a credit whose upstream
+     router is on the same shard into the credit wheel.  The order
+     inside a bucket cannot matter: one upstream router feeds each
+     input-VC address, over a link of fixed latency, at most one flit
+     per cycle, so a bucket holds at most one flit per address; credit
+     increments commute.  A local id retires when its tail is ejected
+     or leaves the shard.
+   - {e Head-translated flit messages.}  A flit bound for another shard
+     travels as the 8-int message [lat, addr, flags, gid, dest, born,
+     class, dim] (class/dim as committed when the route was allocated
+     at the sender — final by grant time).  The receiver keeps a
+     per-(input, vc) [cur_lid] map: a head flit allocates a fresh local
+     store entry and records it at [addr]; body/tail flits reuse it.
+     This is sound because wormhole flits of one packet are contiguous
+     per input VC — the output VC is owned by the packet from head to
+     tail, so no other packet's flit can interleave at that address.
+     Credits for another shard are 2-int [lat, addr] messages. *)
+let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs fabric =
+  if config.packet_len < 1 then invalid_arg "Wormhole: packet_len < 1";
+  if config.vcs < 1 then invalid_arg "Wormhole: vcs < 1";
+  (match (fabric, config.routing) with
+  | Torus _, Deterministic when config.vcs < 2 ->
+      invalid_arg "Wormhole: tori need >= 2 virtual channels"
+  | Torus _, Adaptive when config.vcs < 3 ->
+      invalid_arg "Wormhole: adaptive tori need >= 3 virtual channels"
+  | Hypercube _, Adaptive when config.vcs < 2 ->
+      invalid_arg "Wormhole: adaptive hypercubes need >= 2 virtual channels"
+  | _ -> ());
+  let graph = graph_of_fabric fabric in
   let n = Graph.n graph in
+  if n < 2 then invalid_arg "Wormhole.run: need at least 2 nodes";
+  let shards = Sim_shard.shards ~jobs ~n in
   let vcs = config.vcs in
-  let rng = Rng.create ~seed:config.seed in
   let neighbors = Array.init n (fun u -> Graph.neighbors graph u) in
   let neighbor_idx u v =
     let arr = neighbors.(u) in
@@ -106,452 +152,6 @@ let run_serial config link_latency fabric graph =
   in
   (* back_idx.(u).(d): index of u among the neighbours of
      neighbors.(u).(d) — the upstream input a credit returns to *)
-  let back_idx =
-    Array.init n (fun u ->
-        Array.map (fun v -> neighbor_idx v u) neighbors.(u))
-  in
-  let max_deg =
-    Array.fold_left (fun m a -> max m (Array.length a)) 1 neighbors
-  in
-  let max_inputs = max_deg + 1 in
-  (* packet store (structure of arrays); ids are never recycled, the
-     arrays just double.  Tracked = [born >= warmup]. *)
-  let pq_dest = ref (Array.make 1024 0) in
-  let pq_born = ref (Array.make 1024 0) in
-  let pq_class = ref (Array.make 1024 0) in
-  let pq_dim = ref (Array.make 1024 0) in
-  let next_packet_id = ref 0 in
-  let new_packet ~dest ~born =
-    let cap = Array.length !pq_dest in
-    if !next_packet_id = cap then begin
-      let g a =
-        let a' = Array.make (cap * 2) 0 in
-        Array.blit !a 0 a' 0 cap;
-        a := a'
-      in
-      g pq_dest;
-      g pq_born;
-      g pq_class;
-      g pq_dim
-    end;
-    let id = !next_packet_id in
-    incr next_packet_id;
-    !pq_dest.(id) <- dest;
-    !pq_born.(id) <- born;
-    !pq_class.(id) <- 0;
-    !pq_dim.(id) <- -1;
-    id
-  in
-  (* e-cube route for the packet at the head of an input VC; results
-     land in scratch refs (next node, required vc or -1 for any) plus a
-     pending dateline-class update applied only once the output VC is
-     actually allocated, since allocation may be retried across
-     cycles *)
-  let rh_next = ref 0 and rh_want = ref (-1) in
-  (* 0 = no state update (hypercube), 1 = torus escape, 2 = adaptive *)
-  let rh_commit = ref 0 in
-  let rh_dim = ref 0 and rh_class = ref 0 in
-  let route_hop id u =
-    match fabric with
-    | Hypercube _ ->
-        let diff = u lxor !pq_dest.(id) in
-        let b =
-          let rec lowest i =
-            if diff land (1 lsl i) <> 0 then i else lowest (i + 1)
-          in
-          lowest 0
-        in
-        rh_next := u lxor (1 lsl b);
-        rh_want := -1;
-        rh_commit := 0
-    | Torus { k; n = dims } ->
-        let dest = !pq_dest.(id) in
-        let j = ref 0 and w = ref 1 in
-        while
-          !j < dims && u / !w mod k = dest / !w mod k
-        do
-          incr j;
-          w := !w * k
-        done;
-        if !j >= dims then invalid_arg "Wormhole: routing at destination";
-        let du_j = u / !w mod k and dd_j = dest / !w mod k in
-        let klass = if !j <> !pq_dim.(id) then 0 else !pq_class.(id) in
-        let fwd = (dd_j - du_j + k) mod k in
-        let go_plus = fwd <= k - fwd in
-        let next_digit =
-          if go_plus then (du_j + 1) mod k else (du_j + k - 1) mod k
-        in
-        let crosses =
-          (go_plus && du_j = k - 1) || ((not go_plus) && du_j = 0)
-        in
-        rh_next := u + ((next_digit - du_j) * !w);
-        rh_want := klass;
-        rh_commit := 1;
-        rh_dim := !j;
-        rh_class := if crosses then 1 else klass
-  in
-  (* per node: inputs = in-neighbours (by index) plus one injection
-     pseudo-input at index deg(u); a VC's buffered flits live in an
-     int ring and its allocated route is [d * vcs + out_vc], -1 when
-     unrouted *)
-  let bufs =
-    Array.init n (fun u ->
-        Array.init
-          (Array.length neighbors.(u) + 1)
-          (fun _ -> Array.init vcs (fun _ -> Int_ring.create ())))
-  in
-  let route_of =
-    Array.init n (fun u ->
-        Array.init
-          (Array.length neighbors.(u) + 1)
-          (fun _ -> Array.make vcs (-1)))
-  in
-  let owner =
-    Array.init n (fun u ->
-        Array.init (Array.length neighbors.(u)) (fun _ ->
-            Array.make vcs (-1)))
-  in
-  let credits =
-    Array.init n (fun u ->
-        Array.init (Array.length neighbors.(u)) (fun _ ->
-            Array.make vcs config.buffer_depth))
-  in
-  (* timing wheels sized from the slowest link *)
-  let max_lat = ref 1 in
-  Graph.iter_edges graph (fun u v ->
-      max_lat := max !max_lat (max 1 (link_latency u v));
-      max_lat := max !max_lat (max 1 (link_latency v u)));
-  let wheel_size =
-    let c = ref 1 in
-    while !c < !max_lat + 1 do
-      c := !c * 2
-    done;
-    !c
-  in
-  let wheel_mask = wheel_size - 1 in
-  (* arrival buckets interleave (address, flit) pairs where address =
-     (v * max_inputs + in_idx) * vcs + vc; credit buckets hold
-     (u * max_deg + d) * vcs + vc *)
-  let arrivals = Array.init wheel_size (fun _ -> Int_ring.create ()) in
-  let credit_returns =
-    Array.init wheel_size (fun _ -> Int_ring.create ())
-  in
-  (* out_used scratch, versioned per router scan *)
-  let used_stamp = Array.make max_deg 0 in
-  let stamp = ref 0 in
-  (* adaptive candidate scratch *)
-  let cand_cred = Array.make (max_deg * vcs) 0 in
-  let cand_d = Array.make (max_deg * vcs) 0 in
-  let cand_vc = Array.make (max_deg * vcs) 0 in
-  let horizon = config.warmup + config.measure + config.drain in
-  let inject_end = config.warmup + config.measure in
-  let injected = ref 0 and delivered = ref 0 and pending = ref 0 in
-  let hist = Histogram.create () in
-  (* flits buffered at each router, over all its input VCs *)
-  let occupancy = Array.make n 0 in
-  let cycle = ref 0 in
-  let running = ref (horizon > 0) in
-  while !running do
-    let now = !cycle in
-    (* arrivals *)
-    let ab = arrivals.(now land wheel_mask) in
-    let n_arr = Int_ring.length ab / 2 in
-    if n_arr > 0 then begin
-      for i = 0 to n_arr - 1 do
-        let addr = Int_ring.unsafe_get ab (2 * i) in
-        let fw = Int_ring.unsafe_get ab ((2 * i) + 1) in
-        let vc = addr mod vcs in
-        let rest = addr / vcs in
-        let v = rest / max_inputs in
-        occupancy.(v) <- occupancy.(v) + 1;
-        Int_ring.push bufs.(v).(rest mod max_inputs).(vc) fw
-      done;
-      Int_ring.drop_front ab (2 * n_arr)
-    end;
-    let cb = credit_returns.(now land wheel_mask) in
-    let n_cred = Int_ring.length cb in
-    if n_cred > 0 then begin
-      for i = 0 to n_cred - 1 do
-        let addr = Int_ring.unsafe_get cb i in
-        let vc = addr mod vcs in
-        let rest = addr / vcs in
-        let c = credits.(rest / max_deg).(rest mod max_deg) in
-        c.(vc) <- c.(vc) + 1
-      done;
-      Int_ring.drop_front cb n_cred
-    end;
-    (* injection: whole packet enqueued flit by flit into the pseudo-input *)
-    if now < inject_end then
-      for src = 0 to n - 1 do
-        if Rng.bool rng ~p:config.offered_load then begin
-          let dest = Traffic.destination config.traffic rng ~n_nodes:n ~src in
-          if now >= config.warmup then begin
-            incr injected;
-            incr pending
-          end;
-          let id = new_packet ~dest ~born:now in
-          occupancy.(src) <- occupancy.(src) + config.packet_len;
-          let inj = bufs.(src).(Array.length neighbors.(src)).(0) in
-          for f = 0 to config.packet_len - 1 do
-            Int_ring.push inj
-              ((id lsl 2)
-              lor (if f = 0 then 2 else 0)
-              lor (if f = config.packet_len - 1 then 1 else 0))
-          done
-        end
-      done;
-    (* switching: a router with no buffered flit has nothing to do *)
-    for u = 0 to n - 1 do
-      if occupancy.(u) > 0 then begin
-        let nbrs = neighbors.(u) in
-        let deg = Array.length nbrs in
-        let n_inputs = deg + 1 in
-        incr stamp;
-        let st = !stamp in
-        let start = now mod n_inputs in
-        for step = 0 to n_inputs - 1 do
-          let in_idx = (start + step) mod n_inputs in
-          let routes_i = route_of.(u).(in_idx) in
-          let bufs_i = bufs.(u).(in_idx) in
-          (* one flit per input per cycle: scan this input's VCs *)
-          let granted = ref false in
-          for vc = 0 to vcs - 1 do
-            let buf = bufs_i.(vc) in
-            if (not !granted) && Int_ring.length buf > 0 then begin
-              let fw = Int_ring.unsafe_get buf 0 in
-              let fid = fw lsr 2 in
-              if !pq_dest.(fid) = u then begin
-                (* ejection *)
-                Int_ring.drop_front buf 1;
-                occupancy.(u) <- occupancy.(u) - 1;
-                granted := true;
-                if in_idx < deg then begin
-                  let upstream = nbrs.(in_idx) in
-                  let d_up = back_idx.(u).(in_idx) in
-                  Int_ring.push
-                    credit_returns.((now + max 1 (link_latency upstream u))
-                                    land wheel_mask)
-                    ((((upstream * max_deg) + d_up) * vcs) + vc)
-                end;
-                if fw land 1 <> 0 then begin
-                  routes_i.(vc) <- -1;
-                  if !pq_born.(fid) >= config.warmup then begin
-                    incr delivered;
-                    decr pending;
-                    Histogram.add hist (now - !pq_born.(fid))
-                  end
-                end
-              end
-              else begin
-                (* route the head if not yet routed *)
-                (if routes_i.(vc) < 0 && fw land 2 <> 0 then begin
-                   let try_alloc d vc' commit =
-                     if owner.(u).(d).(vc') < 0 then begin
-                       owner.(u).(d).(vc') <- fid;
-                       routes_i.(vc) <- (d * vcs) + vc';
-                       (match commit with
-                       | 0 -> ()
-                       | 1 ->
-                           !pq_dim.(fid) <- !rh_dim;
-                           !pq_class.(fid) <- !rh_class
-                       | _ ->
-                           !pq_dim.(fid) <- -1;
-                           !pq_class.(fid) <- 0);
-                       true
-                     end
-                     else false
-                   in
-                   let escape () =
-                     route_hop fid u;
-                     let d = neighbor_idx u !rh_next in
-                     (* under adaptive routing the hypercube escape lane is
-                        pinned to VC 0 *)
-                     let want_vc =
-                       if config.routing = Adaptive && !rh_want < 0 then 0
-                       else !rh_want
-                     in
-                     if want_vc >= 0 then
-                       ignore (try_alloc d want_vc !rh_commit)
-                     else begin
-                       let ok = ref false in
-                       for off = 0 to vcs - 1 do
-                         if not !ok then
-                           ok := try_alloc d ((fid + off) mod vcs) !rh_commit
-                       done
-                     end
-                   in
-                   match config.routing with
-                   | Deterministic -> escape ()
-                   | Adaptive ->
-                       (* adaptive candidates: any minimal hop on an
-                          adaptive VC, most credits first; an adaptive hop
-                          resets the escape (dateline) state so a later
-                          escape re-enters its ring fresh.  The scratch is
-                          filled in the reverse of the old prepend order
-                          and insertion-sorted stably by credits, which
-                          reproduces the original list-and-stable-sort
-                          candidate order exactly. *)
-                       let adaptive_lo =
-                         match fabric with Hypercube _ -> 1 | Torus _ -> 2
-                       in
-                       let m = ref 0 in
-                       let add next =
-                         let d = neighbor_idx u next in
-                         let ow = owner.(u).(d) and cr = credits.(u).(d) in
-                         for vc' = vcs - 1 downto adaptive_lo do
-                           if ow.(vc') < 0 then begin
-                             cand_cred.(!m) <- cr.(vc');
-                             cand_d.(!m) <- d;
-                             cand_vc.(!m) <- vc';
-                             incr m
-                           end
-                         done
-                       in
-                       (match fabric with
-                       | Hypercube dims ->
-                           let diff = u lxor !pq_dest.(fid) in
-                           for b = dims - 1 downto 0 do
-                             if diff land (1 lsl b) <> 0 then
-                               add (u lxor (1 lsl b))
-                           done
-                       | Torus { k; n = dims } ->
-                           let dest = !pq_dest.(fid) in
-                           let w = ref 1 in
-                           for _j = 0 to dims - 1 do
-                             let dj = u / !w mod k and tj = dest / !w mod k in
-                             if dj <> tj then begin
-                               let fwd = (tj - dj + k) mod k in
-                               let go_plus = fwd <= k - fwd in
-                               let next_digit =
-                                 if go_plus then (dj + 1) mod k
-                                 else (dj + k - 1) mod k
-                               in
-                               add (u + ((next_digit - dj) * !w))
-                             end;
-                             w := !w * k
-                           done);
-                       (* stable insertion sort, credits descending *)
-                       for i = 1 to !m - 1 do
-                         let c = cand_cred.(i)
-                         and d = cand_d.(i)
-                         and v' = cand_vc.(i) in
-                         let j = ref (i - 1) in
-                         while !j >= 0 && cand_cred.(!j) < c do
-                           cand_cred.(!j + 1) <- cand_cred.(!j);
-                           cand_d.(!j + 1) <- cand_d.(!j);
-                           cand_vc.(!j + 1) <- cand_vc.(!j);
-                           decr j
-                         done;
-                         cand_cred.(!j + 1) <- c;
-                         cand_d.(!j + 1) <- d;
-                         cand_vc.(!j + 1) <- v'
-                       done;
-                       let done_ = ref false in
-                       let i = ref 0 in
-                       while (not !done_) && !i < !m do
-                         done_ := try_alloc cand_d.(!i) cand_vc.(!i) 2;
-                         incr i
-                       done;
-                       if not !done_ then escape ()
-                 end);
-                let r = routes_i.(vc) in
-                if r >= 0 then begin
-                  let d = r / vcs and out_vc = r mod vcs in
-                  if used_stamp.(d) <> st && credits.(u).(d).(out_vc) > 0
-                  then begin
-                    Int_ring.drop_front buf 1;
-                    occupancy.(u) <- occupancy.(u) - 1;
-                    granted := true;
-                    used_stamp.(d) <- st;
-                    credits.(u).(d).(out_vc) <- credits.(u).(d).(out_vc) - 1;
-                    let v = nbrs.(d) in
-                    let lat = max 1 (link_latency u v) in
-                    let v_in = back_idx.(u).(d) in
-                    let ab = arrivals.((now + lat) land wheel_mask) in
-                    Int_ring.push ab ((((v * max_inputs) + v_in) * vcs) + out_vc);
-                    Int_ring.push ab fw;
-                    (* return a credit upstream for the slot we vacated *)
-                    if in_idx < deg then begin
-                      let upstream = nbrs.(in_idx) in
-                      let d_up = back_idx.(u).(in_idx) in
-                      Int_ring.push
-                        credit_returns.((now + max 1 (link_latency upstream u))
-                                        land wheel_mask)
-                        ((((upstream * max_deg) + d_up) * vcs) + vc)
-                    end;
-                    if fw land 1 <> 0 then begin
-                      owner.(u).(d).(out_vc) <- -1;
-                      routes_i.(vc) <- -1
-                    end
-                  end
-                end
-              end
-            end
-          done
-        done
-      end
-    done;
-    (* once injection is over, the last tracked delivery ends the run:
-       nothing after it can change a statistic *)
-    incr cycle;
-    running := !cycle < horizon && (!cycle < inject_end || !pending > 0)
-  done;
-  {
-    injected = !injected;
-    delivered = !delivered;
-    avg_latency = Histogram.mean hist;
-    p50_latency = Histogram.percentile hist 50;
-    p95_latency = Histogram.percentile hist 95;
-    p99_latency = Histogram.percentile hist 99;
-    max_latency = Histogram.max_value hist;
-    throughput =
-      float_of_int !delivered /. float_of_int (n * max 1 config.measure);
-    undrained = !pending;
-    cycles = !cycle;
-    latency_histogram = Histogram.to_pairs hist;
-  }
-
-(* Domain-sharded flit engine.  The phase/mailbox/barrier protocol is
-   the one {!Network_sim.run_sharded} uses (DESIGN.md §11); the parts
-   specific to wormhole flow control:
-
-   - {e Replicated global packet ids.}  Unlike Network_sim's pids,
-     wormhole packet ids are semantically load-bearing: the escape VC
-     scan starts at [(id + off) mod vcs].  Every shard therefore replays
-     the full injection loop (same replicated [Rng] stream) {e and}
-     advances a replica of the global id counter for every injection
-     network-wide, so a packet's [gid] is identical on every shard and
-     to the serial engine's id.  The store index ([lid]) stays
-     shard-local and recycles through a free list; [gid] rides in the
-     store next to dest/born/class/dim.
-   - {e Head-translated flit messages.}  A granted flit crosses shards
-     as the 8-int message [lat, addr, flags, gid, dest, born, class,
-     dim] (class/dim as committed when the route was allocated at the
-     sender — final by grant time).  The receiver keeps a per-(input,
-     vc) [cur_lid] map: a head flit allocates a fresh local store entry
-     and records it at [addr]; body/tail flits reuse it.  This is sound
-     because wormhole flits of one packet are contiguous per input VC —
-     the output VC is owned by the packet from head to tail, so no other
-     packet's flit can interleave at that address.
-   - {e Credit messages} are 2-int [lat, addr] pairs; credit increments
-     commute, so only their arrival cycle matters, never their order.
-   - {e Stop vote.}  The run ends after the first cycle at or past
-     [warmup + measure - 1] in which no tracked packet is pending, as
-     in the serial engine.  Each shard writes its [pending] count into
-     its slot between the two barriers (per-shard counts may go
-     negative — a worm is booked where it is injected and where it is
-     delivered — only the sum means anything) and every shard sums the
-     slots after the second, so all shards stop after the same cycle:
-     the protocol {!Network_sim.run_sharded} uses. *)
-let run_sharded ~shards config link_latency fabric graph =
-  let n = Graph.n graph in
-  let vcs = config.vcs in
-  let neighbors = Array.init n (fun u -> Graph.neighbors graph u) in
-  let neighbor_idx u v =
-    let arr = neighbors.(u) in
-    let rec find i = if arr.(i) = v then i else find (i + 1) in
-    find 0
-  in
   let back_idx =
     Array.init n (fun u -> Array.map (fun v -> neighbor_idx v u) neighbors.(u))
   in
@@ -573,6 +173,9 @@ let run_sharded ~shards config link_latency fabric graph =
   let wheel_mask = wheel_size - 1 in
   let horizon = config.warmup + config.measure + config.drain in
   let inject_end = config.warmup + config.measure in
+  (* arrival buckets interleave (address, flit) pairs where address =
+     (v * max_inputs + in_idx) * vcs + vc; credit buckets hold
+     (u * max_deg + d) * vcs + vc *)
   let owner_of = Sim_shard.owner_table ~n ~shards in
   (* flit mailboxes carry 8-int messages, credit mailboxes 2-int ones;
      mail.(s).(t) is written by shard s in phase 1 and drained by shard
@@ -598,7 +201,7 @@ let run_sharded ~shards config link_latency fabric graph =
     let rng = Rng.create ~seed:config.seed in
     let flit_out = flit_mail.(w) and cred_out = cred_mail.(w) in
     (* local packet store: [lid] never leaves this shard, [gid] is the
-       globally replicated serial packet id *)
+       globally replicated packet id *)
     let pq_gid = ref (Array.make 1024 0) in
     let pq_dest = ref (Array.make 1024 0) in
     let pq_born = ref (Array.make 1024 0) in
@@ -637,7 +240,13 @@ let run_sharded ~shards config link_latency fabric graph =
     in
     (* the globally replicated packet id counter *)
     let next_gid = ref 0 in
+    (* e-cube route for the packet at the head of an input VC; results
+       land in scratch refs (next node, required vc or -1 for any) plus a
+       pending dateline-class update applied only once the output VC is
+       actually allocated, since allocation may be retried across
+       cycles *)
     let rh_next = ref 0 and rh_want = ref (-1) in
+    (* 0 = no state update (hypercube), 1 = torus escape, 2 = adaptive *)
     let rh_commit = ref 0 in
     let rh_dim = ref 0 and rh_class = ref 0 in
     let route_hop lid u =
@@ -678,7 +287,10 @@ let run_sharded ~shards config link_latency fabric graph =
           rh_class := if crosses then 1 else klass
     in
     (* per-router state for own routers only; foreign rows share dummies
-       and are never touched *)
+       and are never touched.  Inputs are the in-neighbours (by index)
+       plus one injection pseudo-input at index deg(u); a VC's buffered
+       flits live in an int ring and its allocated route is
+       [d * vcs + out_vc], -1 when unrouted *)
     let dummy_bufs = [||] and dummy_routes = [||] in
     let bufs =
       Array.init n (fun u ->
@@ -725,14 +337,20 @@ let run_sharded ~shards config link_latency fabric graph =
     let injected = ref 0 and delivered = ref 0 and pending = ref 0 in
     let hist = sh_hist.(w) in
     let occupancy = Array.make n 0 in
-    (* a credit for the slot just vacated at (u, in_idx, vc); upstream
-       may live on any shard, so it always travels as a message *)
-    let return_credit u in_idx vc =
+    (* a credit for the slot just vacated at (u, in_idx, vc): straight
+       into the credit wheel when upstream is on this shard, else a
+       message to its owner *)
+    let return_credit ~now u in_idx vc =
       let upstream = neighbors.(u).(in_idx) in
-      let d_up = back_idx.(u).(in_idx) in
-      let m = cred_out.(owner_of.(upstream)) in
-      Int_ring.push m (max 1 (link_latency upstream u));
-      Int_ring.push m ((((upstream * max_deg) + d_up) * vcs) + vc)
+      let lat = max 1 (link_latency upstream u) in
+      let addr = (((upstream * max_deg) + back_idx.(u).(in_idx)) * vcs) + vc in
+      if own upstream then
+        Int_ring.push credit_returns.((now + lat) land wheel_mask) addr
+      else begin
+        let m = cred_out.(owner_of.(upstream)) in
+        Int_ring.push m lat;
+        Int_ring.push m addr
+      end
     in
     let cycle = ref 0 in
     let running = ref (horizon > 0) in
@@ -765,8 +383,9 @@ let run_sharded ~shards config link_latency fabric graph =
         done;
         Int_ring.drop_front cb n_cred
       end;
-      (* replicated injection: every shard replays the full serial draw
-         sequence and gid numbering, materializing only own sources *)
+      (* replicated injection: every shard replays the full draw
+         sequence and gid numbering, materializing only own sources;
+         a whole packet is enqueued flit by flit into the pseudo-input *)
       if now < inject_end then
         for src = 0 to n - 1 do
           if Rng.bool rng ~p:config.offered_load then begin
@@ -792,8 +411,7 @@ let run_sharded ~shards config link_latency fabric graph =
             end
           end
         done;
-      (* switching own non-idle routers; grants and credits become
-         messages *)
+      (* switching own routers; one holding no flit has nothing to do *)
       for u = lo to hi - 1 do
         if occupancy.(u) > 0 then begin
           let nbrs = neighbors.(u) in
@@ -806,6 +424,7 @@ let run_sharded ~shards config link_latency fabric graph =
             let in_idx = (start + step) mod n_inputs in
             let routes_i = route_of.(u).(in_idx) in
             let bufs_i = bufs.(u).(in_idx) in
+            (* one flit per input per cycle: scan this input's VCs *)
             let granted = ref false in
             for vc = 0 to vcs - 1 do
               let buf = bufs_i.(vc) in
@@ -817,7 +436,7 @@ let run_sharded ~shards config link_latency fabric graph =
                   Int_ring.drop_front buf 1;
                   occupancy.(u) <- occupancy.(u) - 1;
                   granted := true;
-                  if in_idx < deg then return_credit u in_idx vc;
+                  if in_idx < deg then return_credit ~now u in_idx vc;
                   if fw land 1 <> 0 then begin
                     routes_i.(vc) <- -1;
                     if !pq_born.(lid) >= config.warmup then begin
@@ -829,6 +448,7 @@ let run_sharded ~shards config link_latency fabric graph =
                   end
                 end
                 else begin
+                  (* route the head if not yet routed *)
                   (if routes_i.(vc) < 0 && fw land 2 <> 0 then begin
                      let try_alloc d vc' commit =
                        if owner.(u).(d).(vc') < 0 then begin
@@ -849,6 +469,8 @@ let run_sharded ~shards config link_latency fabric graph =
                      let escape () =
                        route_hop lid u;
                        let d = neighbor_idx u !rh_next in
+                       (* under adaptive routing the hypercube escape lane
+                          is pinned to VC 0 *)
                        let want_vc =
                          if config.routing = Adaptive && !rh_want < 0 then 0
                          else !rh_want
@@ -869,6 +491,14 @@ let run_sharded ~shards config link_latency fabric graph =
                      match config.routing with
                      | Deterministic -> escape ()
                      | Adaptive ->
+                         (* adaptive candidates: any minimal hop on an
+                            adaptive VC, most credits first; an adaptive
+                            hop resets the escape (dateline) state so a
+                            later escape re-enters its ring fresh.  The
+                            scratch is filled in the reverse of the old
+                            prepend order and insertion-sorted stably by
+                            credits, which reproduces the original
+                            list-and-stable-sort candidate order exactly. *)
                          let adaptive_lo =
                            match fabric with Hypercube _ -> 1 | Torus _ -> 2
                          in
@@ -908,6 +538,7 @@ let run_sharded ~shards config link_latency fabric graph =
                                end;
                                w := !w * k
                              done);
+                         (* stable insertion sort, credits descending *)
                          for i = 1 to !m - 1 do
                            let c = cand_cred.(i)
                            and d = cand_d.(i)
@@ -943,27 +574,39 @@ let run_sharded ~shards config link_latency fabric graph =
                       credits.(u).(d).(out_vc) <- credits.(u).(d).(out_vc) - 1;
                       let v = nbrs.(d) in
                       let lat = max 1 (link_latency u v) in
-                      let v_in = back_idx.(u).(d) in
-                      (* the flit crosses shards as a full-metadata
-                         message; for body/tail flits the receiver uses
-                         only lat/addr/flags *)
-                      let fm = flit_out.(owner_of.(v)) in
-                      Int_ring.push fm lat;
-                      Int_ring.push fm ((((v * max_inputs) + v_in) * vcs) + out_vc);
-                      Int_ring.push fm (fw land 3);
-                      Int_ring.push fm (!pq_gid.(lid));
-                      Int_ring.push fm (!pq_dest.(lid));
-                      Int_ring.push fm (!pq_born.(lid));
-                      Int_ring.push fm (!pq_class.(lid));
-                      Int_ring.push fm (!pq_dim.(lid));
-                      if in_idx < deg then return_credit u in_idx vc;
+                      let addr =
+                        (((v * max_inputs) + back_idx.(u).(d)) * vcs) + out_vc
+                      in
+                      let stays = own v in
+                      if stays then begin
+                        (* downstream is on this shard: the flit keeps
+                           its local id *)
+                        let ab = arrivals.((now + lat) land wheel_mask) in
+                        Int_ring.push ab addr;
+                        Int_ring.push ab fw
+                      end
+                      else begin
+                        (* the flit crosses shards as a full-metadata
+                           message; for body/tail flits the receiver
+                           uses only lat/addr/flags *)
+                        let fm = flit_out.(owner_of.(v)) in
+                        Int_ring.push fm lat;
+                        Int_ring.push fm addr;
+                        Int_ring.push fm (fw land 3);
+                        Int_ring.push fm !pq_gid.(lid);
+                        Int_ring.push fm !pq_dest.(lid);
+                        Int_ring.push fm !pq_born.(lid);
+                        Int_ring.push fm !pq_class.(lid);
+                        Int_ring.push fm !pq_dim.(lid)
+                      end;
+                      if in_idx < deg then return_credit ~now u in_idx vc;
                       if fw land 1 <> 0 then begin
                         owner.(u).(d).(out_vc) <- -1;
                         routes_i.(vc) <- -1;
-                        (* the tail has left this shard: retire the local
+                        (* a tail leaving this shard retires the local
                            store entry (the metadata now lives in the
                            message and, for earlier flits, downstream) *)
-                        Int_ring.push free lid
+                        if not stays then Int_ring.push free lid
                       end
                     end
                   end
@@ -974,10 +617,9 @@ let run_sharded ~shards config link_latency fabric graph =
         end
       done;
       Barrier.wait barrier;
-      (* phase 2: drain inbound mailboxes in ascending source-shard
-         order — concatenation equals the serial ascending-router push
-         order, so arrival buckets fill exactly as in the serial engine;
-         credit increments commute but ride the same protocol *)
+      (* phase 2: drain inbound mailboxes; a bucket holds at most one
+         flit per address and credit increments commute, so the drain
+         order is free *)
       for s = 0 to shards - 1 do
         let fm = flit_mail.(s).(w) in
         let msgs = Int_ring.length fm / 8 in
@@ -1052,21 +694,3 @@ let run_sharded ~shards config link_latency fabric graph =
     cycles = sh_cycles.(0);
     latency_histogram = Histogram.to_pairs hist;
   }
-
-let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs fabric =
-  if config.packet_len < 1 then invalid_arg "Wormhole: packet_len < 1";
-  if config.vcs < 1 then invalid_arg "Wormhole: vcs < 1";
-  (match (fabric, config.routing) with
-  | Torus _, Deterministic when config.vcs < 2 ->
-      invalid_arg "Wormhole: tori need >= 2 virtual channels"
-  | Torus _, Adaptive when config.vcs < 3 ->
-      invalid_arg "Wormhole: adaptive tori need >= 3 virtual channels"
-  | Hypercube _, Adaptive when config.vcs < 2 ->
-      invalid_arg "Wormhole: adaptive hypercubes need >= 2 virtual channels"
-  | _ -> ());
-  let graph = graph_of_fabric fabric in
-  let n = Graph.n graph in
-  if n < 2 then invalid_arg "Wormhole.run: need at least 2 nodes";
-  let shards = Sim_shard.shards ~jobs ~n in
-  if shards <= 1 then run_serial config link_latency fabric graph
-  else run_sharded ~shards config link_latency fabric graph

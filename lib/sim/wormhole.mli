@@ -78,9 +78,9 @@ val run :
     adaptive routing with fewer VCs than it needs.
 
     [jobs] shards the routers across that many domains (capped at the
-    node count) in barrier-phased lockstep, byte-identical to the
-    serial engine for every value — see {!Network_sim.run}; omitted,
-    [<= 1], or under [MVL_FORCE_FORK=1] the serial engine runs and no
+    node count) in barrier-phased lockstep, byte-identical for every
+    value — see {!Network_sim.run}; omitted, [<= 1], or under
+    [MVL_FORCE_FORK=1] one shard runs in the calling domain and no
     domain is spawned.  A [link_latency] used with [jobs > 1] must be
     callable from multiple domains at once. *)
 

@@ -6,8 +6,8 @@
    [clock + freq * cost / size] entry with deterministic oldest-first
    tie-breaks, the clock inherits the victim's priority, and a
    candidate that ranks below every resident is the one rejected.
-   The duplicate-add case is the regression the old Bounded_fifo
-   policy carried: re-adding a resident key must not create a second
+   The duplicate-add case is the regression the old FIFO cache
+   carried: re-adding a resident key must not create a second
    queue entry (a second eviction of the same key).
 
    The concurrent case drives Mvl.Pipeline.run for one (spec, layers)
@@ -126,7 +126,7 @@ let test_byte_budget () =
   Alcotest.(check bool) "residents untouched" true (Cache.mem c 2)
 
 let test_duplicate_add_updates_in_place () =
-  (* the Bounded_fifo regression: re-adding a resident key must update
+  (* the old FIFO cache's regression: re-adding a resident key must update
      in place, not enqueue a duplicate whose eviction would remove the
      key while a later queue entry still names it *)
   let c = mk ~capacity:2 () in

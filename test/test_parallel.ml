@@ -241,12 +241,39 @@ let test_gang_failure_breaks_barrier () =
   Alcotest.(check int) "both peers woke with Broken" 2
     (Atomic.get broken_seen)
 
+(* both simulators have one engine, which at one shard must run in the
+   calling domain: without [jobs], at [jobs = 1], and at any [jobs]
+   under MVL_FORCE_FORK=1, where a spawned domain would disable the fork
+   backend for good.  Runs first, before anything spawns a domain. *)
+let test_one_shard_spawns_no_domain () =
+  let ns =
+    { Mvl.Network_sim.default_config with
+      Mvl.Network_sim.warmup = 10; measure = 20; drain = 50 }
+  and wh =
+    { Mvl.Wormhole.default_config with
+      Mvl.Wormhole.warmup = 10; measure = 20; drain = 50 }
+  in
+  let sims ?jobs () =
+    ignore (Mvl.Network_sim.run ~config:ns ?jobs (Mvl.Hypercube.create 4));
+    ignore (Mvl.Wormhole.run ~config:wh ?jobs (Mvl.Wormhole.Hypercube 4))
+  in
+  sims ();
+  sims ~jobs:1 ();
+  Unix.putenv "MVL_FORCE_FORK" "1";
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "MVL_FORCE_FORK" "")
+    (fun () -> sims ~jobs:4 ());
+  Alcotest.(check bool) "no domain spawned" false
+    (Mvl.Domain_pool.spawned_domains ())
+
 (* order matters: the fork-backend cases must run before anything that
    spawns a domain — the runtime permanently disables Unix.fork after
    the first Domain.spawn, and this suite is registered first in
    main.ml for the same reason *)
 let suite =
   [
+    Alcotest.test_case "one-shard simulators spawn no domain" `Quick
+      test_one_shard_spawns_no_domain;
     Alcotest.test_case "killed fork worker recovers" `Quick
       test_killed_worker_recovers;
     Alcotest.test_case "all backends byte-identical" `Quick test_backends_agree;

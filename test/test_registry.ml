@@ -144,59 +144,6 @@ let test_cache_bypass () =
   Alcotest.(check int) "bypass leaves counters untouched" 0
     (s.Mvl.Pipeline.misses + s.Mvl.Pipeline.hits)
 
-(* --- bounded FIFO (bugfix: re-insert left a duplicate queue entry,
-   so eviction popped the stale duplicate and removed a live key while
-   the queue grew without bound relative to the table) ---------------- *)
-
-let test_fifo_reinsert_survives_eviction () =
-  let c = Mvl.Bounded_fifo.create ~capacity:3 in
-  Mvl.Bounded_fifo.add c "k" 1;
-  Mvl.Bounded_fifo.add c "b" 2;
-  (* re-insert while resident: refreshes the value and queue position *)
-  Mvl.Bounded_fifo.add c "k" 10;
-  Alcotest.(check int) "no duplicate queue entry after re-insert"
-    (Mvl.Bounded_fifo.length c)
-    (Mvl.Bounded_fifo.order_length c);
-  Alcotest.(check (option int)) "re-insert updates the value" (Some 10)
-    (Mvl.Bounded_fifo.find_opt c "k");
-  (* fill to capacity, then overflow by one *)
-  Mvl.Bounded_fifo.add c "c" 3;
-  Mvl.Bounded_fifo.add c "d" 4;
-  Alcotest.(check bool) "re-inserted key survives the eviction" true
-    (Mvl.Bounded_fifo.mem c "k");
-  Alcotest.(check bool) "oldest untouched key was evicted" false
-    (Mvl.Bounded_fifo.mem c "b");
-  Alcotest.(check int) "table stays at capacity" 3
-    (Mvl.Bounded_fifo.length c);
-  Alcotest.(check int) "queue length equals table length" 3
-    (Mvl.Bounded_fifo.order_length c)
-
-let test_fifo_eviction_order () =
-  let c = Mvl.Bounded_fifo.create ~capacity:2 in
-  Mvl.Bounded_fifo.add c "a" 1;
-  Mvl.Bounded_fifo.add c "b" 2;
-  Mvl.Bounded_fifo.add c "c" 3;
-  Alcotest.(check bool) "first-in is first-out" false
-    (Mvl.Bounded_fifo.mem c "a");
-  Alcotest.(check (option string)) "next victim is the older survivor"
-    (Some "b") (Mvl.Bounded_fifo.oldest c)
-
-let test_fifo_capacity_zero_and_shrink () =
-  let off = Mvl.Bounded_fifo.create ~capacity:0 in
-  Mvl.Bounded_fifo.add off "a" 1;
-  Alcotest.(check int) "capacity 0 disables insertion" 0
-    (Mvl.Bounded_fifo.length off);
-  let c = Mvl.Bounded_fifo.create ~capacity:4 in
-  List.iter (fun (k, v) -> Mvl.Bounded_fifo.add c k v)
-    [ ("a", 1); ("b", 2); ("c", 3); ("d", 4) ];
-  Mvl.Bounded_fifo.set_capacity c 2;
-  Alcotest.(check int) "shrink evicts immediately" 2
-    (Mvl.Bounded_fifo.length c);
-  Alcotest.(check bool) "oldest entries went first" true
-    (Mvl.Bounded_fifo.mem c "c" && Mvl.Bounded_fifo.mem c "d");
-  Alcotest.(check int) "queue mirrors table after shrink" 2
-    (Mvl.Bounded_fifo.order_length c)
-
 let test_pipeline_stages () =
   Mvl.Pipeline.cache_reset ();
   let r =
@@ -243,12 +190,6 @@ let suite =
     Alcotest.test_case "cache: layer sweep builds each L once" `Quick
       test_cache_layer_sweep_constructs_each_once;
     Alcotest.test_case "cache: bypass mode" `Quick test_cache_bypass;
-    Alcotest.test_case "cache: re-insert leaves no stale duplicate" `Quick
-      test_fifo_reinsert_survives_eviction;
-    Alcotest.test_case "cache: FIFO eviction order" `Quick
-      test_fifo_eviction_order;
-    Alcotest.test_case "cache: capacity zero and shrink" `Quick
-      test_fifo_capacity_zero_and_shrink;
     Alcotest.test_case "pipeline stages and timings" `Quick
       test_pipeline_stages;
     Alcotest.test_case "pipeline error paths" `Quick test_pipeline_error_paths;

@@ -281,6 +281,47 @@ let test_golden_hypercube_saturated () =
     ~injected:8965 ~delivered:7975 ~undrained:990 ~hop_total:23174 ~cycles:550 ~p50:13
     ~p95:298 ~p99:401 ~max:482 ~hist_hash:2948049736240518677
 
+(* the paper's geometry as link latencies (up to 5 cycles from the
+   4-layer hypercube:8 layout) near the knee: multi-slot wheel buckets
+   on every shard, so a shard that let its own grants jump the mailbox
+   order shows up in the parity test below *)
+let layout_latency_cfg =
+  { Mvl.Network_sim.default_config with
+    Mvl.Network_sim.offered_load = 0.3; warmup = 100; measure = 400;
+    drain = 2000; seed = 1 }
+
+let hypercube8_l4_latency =
+  lazy
+    (Mvl.Network_sim.link_latency_of_layout ~units_per_cycle:32
+       ((Mvl.Families.hypercube 8).Mvl.Families.layout ~layers:4))
+
+let test_golden_layout_latencies () =
+  check_golden "hypercube:8 L=4 latencies"
+    (Mvl.Network_sim.run ~config:layout_latency_cfg
+       ~link_latency:(Lazy.force hypercube8_l4_latency)
+       (Mvl.Hypercube.create 8))
+    ~injected:30742 ~delivered:30742 ~undrained:0 ~hop_total:123658
+    ~cycles:519 ~p50:9 ~p95:17 ~p99:29 ~max:44
+    ~hist_hash:3680214140189885059
+
+(* a zero horizon (warmup + measure + drain = 0) simulates no cycle,
+   with one shard or two *)
+let test_zero_horizon () =
+  let config =
+    { Mvl.Network_sim.default_config with
+      Mvl.Network_sim.warmup = 0; measure = 0; drain = 0 }
+  in
+  List.iter
+    (fun jobs ->
+      let r = Mvl.Network_sim.run ~config ~jobs (Mvl.Hypercube.create 4) in
+      Alcotest.(check int)
+        (Printf.sprintf "cycles at jobs=%d" jobs)
+        0 r.Mvl.Network_sim.cycles;
+      Alcotest.(check int)
+        (Printf.sprintf "injected at jobs=%d" jobs)
+        0 r.Mvl.Network_sim.injected)
+    [ 1; 2 ]
+
 let test_sim_delivers_everything_at_low_load () =
   let g = Mvl.Hypercube.create 6 in
   let cfg =
@@ -348,11 +389,13 @@ let test_zero_load_matches_sim () =
   Alcotest.(check bool) "consistent" true
     (abs_float (r.Mvl.Network_sim.avg_latency -. zl) /. zl < 0.3)
 
-(* the domain-sharded engine's contract: every statistic — counts,
-   percentiles, the full histogram, undrained — equals the serial
-   engine's, for every jobs value.  Structural equality over the whole
-   result record checks all of it at once; the saturated config also
-   proves the undrained accounting survives sharding. *)
+(* the engine's contract: every statistic — counts, percentiles, the
+   full histogram, undrained — is the same for every jobs value as for
+   one shard, which the goldens pin.  Structural equality over the
+   whole result record checks all of it at once; the saturated config
+   also proves the undrained accounting survives sharding.  Three
+   shards give uneven ranges and a middle shard with a lower
+   neighbour. *)
 let test_sharded_matches_serial () =
   let configs =
     [
@@ -374,6 +417,10 @@ let test_sharded_matches_serial () =
           drain = 300; seed = 7 },
         None,
         Mvl.Hypercube.create 6 );
+      ( "hypercube:8 L=4 latencies",
+        layout_latency_cfg,
+        Some (Lazy.force hypercube8_l4_latency),
+        Mvl.Hypercube.create 8 );
     ]
   in
   List.iter
@@ -387,7 +434,7 @@ let test_sharded_matches_serial () =
           Alcotest.(check bool)
             (Printf.sprintf "%s sharded=serial at jobs=%d" name jobs)
             true (sharded = serial))
-        [ 2; 4 ])
+        [ 2; 3; 4 ])
     configs
 
 (* hammer the shared routing-table cache from four domains at once:
@@ -514,6 +561,9 @@ let suite =
       test_golden_kary_transpose_latencies;
     Alcotest.test_case "golden: hypercube saturated" `Quick
       test_golden_hypercube_saturated;
+    Alcotest.test_case "golden: hypercube:8 layout latencies" `Quick
+      test_golden_layout_latencies;
+    Alcotest.test_case "zero horizon runs no cycle" `Quick test_zero_horizon;
     Alcotest.test_case "traffic patterns" `Quick test_traffic_patterns;
     Alcotest.test_case "bit reversal involution" `Quick
       test_bit_reversal_involution;

@@ -264,12 +264,13 @@ let test_one_node_fabric () =
         (fun () -> ignore (Mvl.Wormhole.run ~jobs (Mvl.Wormhole.Hypercube 0))))
     [ 1; 2 ]
 
-(* the sharded wormhole engine's contract mirrors {!Network_sim}'s:
-   full-record equality with the serial engine at every jobs value —
-   [cycles] included, so the stop vote ends every shard on the serial
-   engine's cycle — over deterministic e-cube, adaptive + datelines on
-   both fabrics, an overloaded run with undrained worms, multi-cycle
-   layout link latencies, and a long drain cut short *)
+(* the wormhole engine's contract mirrors {!Network_sim}'s: full-record
+   equality with the one-shard run at every jobs value — [cycles]
+   included, so the stop vote ends every shard on the same cycle — over
+   deterministic e-cube, adaptive + datelines on both fabrics, an
+   overloaded run with undrained worms, multi-cycle layout link
+   latencies, and a long drain cut short; three shards give uneven
+   ranges *)
 let test_sharded_matches_serial () =
   let configs =
     [
@@ -310,7 +311,7 @@ let test_sharded_matches_serial () =
           Alcotest.(check bool)
             (Printf.sprintf "%s sharded=serial at jobs=%d" name jobs)
             true (sharded = serial))
-        [ 2; 4 ])
+        [ 2; 3; 4 ])
     configs
 
 let test_graph_of_fabric () =
