@@ -41,7 +41,8 @@ lint:
 # and a CLI smoke pass (list + one validated layout + a malformed spec
 # that must fail + malformed wormhole fabrics that must exit 2 + the
 # --json/bench-emit telemetry surfaces, which self-validate + --jobs N
-# vs --jobs 1 parity of sim and wormhole)
+# vs --jobs 1 parity of sim and wormhole).  Every output goes to an
+# untracked scratch file, so a run leaves the tracked tree as it was.
 check: lint
 	dune build @all
 	dune runtest
@@ -54,8 +55,9 @@ check: lint
 		[ $$rc -eq 2 ] || { echo "mvl wormhole $$a: exit $$rc, expected 2"; exit 1; }; \
 	done
 	dune exec bin/mvl_cli.exe -- layout hypercube:8 -l 4 --json | grep -q '"schema": "mvl.pipeline.run/1"'
-	dune exec bench/main.exe -- emit > /dev/null
-	grep -q '"schema": "mvl.bench.pipeline/1"' BENCH_pipeline.json
+	dune exec bench/main.exe -- emit -o BENCH_emit_smoke.json > /dev/null
+	grep -q '"schema": "mvl.bench.pipeline/1"' BENCH_emit_smoke.json
+	rm -f BENCH_emit_smoke.json
 	dune exec bench/main.exe -- emit --jobs 1 --stable -o BENCH_jobs1.json > /dev/null
 	dune exec bench/main.exe -- emit --jobs 4 --stable -o BENCH_jobs2.json > /dev/null
 	cmp BENCH_jobs1.json BENCH_jobs2.json

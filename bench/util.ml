@@ -13,7 +13,8 @@ let pp_ratio r = Printf.sprintf "%6.3f" r
 (* validate layouts up to a size budget; beyond it the (already
    unit-tested) construction is trusted and we report "-" *)
 let validity_label ?(max_edges = 20000) lay =
-  if Array.length (Mvl_core.Mvl.Layout.wires lay) > max_edges then "   -"
+  if Mvl_core.Mvl.Graph.m (Mvl_core.Mvl.Layout.graph lay) > max_edges then
+    "   -"
   else if Mvl_core.Mvl.Check.is_valid ~mode:Mvl_core.Mvl.Check.Strict lay then
     "  ok"
   else "FAIL"

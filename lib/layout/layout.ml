@@ -6,8 +6,6 @@ type t = {
   layers : int;
   node_layers : int array;
   geom : Geom.t;
-  wires_v : Wire.t array Lazy.t;
-  nodes_v : Rect.t array Lazy.t;
 }
 
 type metrics = {
@@ -29,8 +27,8 @@ let resident_bytes t =
   + (Array.length t.node_layers * (Sys.word_size / 8))
 let node_layers t = t.node_layers
 let geom t = t.geom
-let wires t = Lazy.force t.wires_v
-let nodes t = Lazy.force t.nodes_v
+let wires t = Geom.wires_view t.geom
+let nodes t = Geom.nodes_view t.geom
 let node_rect t i = Geom.node_rect t.geom i
 
 let check_node_layers ~layers ~n node_layers =
@@ -53,14 +51,7 @@ let make ~graph ~layers ?node_layers ~nodes ~wires () =
   if Array.length wires <> Graph.m graph then
     invalid_arg "Layout.make: one wire per edge required";
   let node_layers = check_node_layers ~layers ~n:(Graph.n graph) node_layers in
-  {
-    graph;
-    layers;
-    node_layers;
-    geom = Geom.of_wires ~nodes ~wires;
-    wires_v = Lazy.from_val wires;
-    nodes_v = Lazy.from_val nodes;
-  }
+  { graph; layers; node_layers; geom = Geom.of_wires ~nodes ~wires }
 
 let of_geom ~graph ~layers ?node_layers geom =
   if layers < 1 then invalid_arg "Layout.make: layers < 1";
@@ -69,14 +60,7 @@ let of_geom ~graph ~layers ?node_layers geom =
   if geom.Geom.n_wires <> Graph.m graph then
     invalid_arg "Layout.make: one wire per edge required";
   let node_layers = check_node_layers ~layers ~n:(Graph.n graph) node_layers in
-  {
-    graph;
-    layers;
-    node_layers;
-    geom;
-    wires_v = lazy (Geom.wires_view geom);
-    nodes_v = lazy (Geom.nodes_view geom);
-  }
+  { graph; layers; node_layers; geom }
 
 let active_layers (t : t) =
   (* node layers are validated into [1, layers], so one pass over a
@@ -92,16 +76,23 @@ let active_layers (t : t) =
     t.node_layers;
   !count
 
+let edge_column t ~missing f =
+  let g = t.geom in
+  let col = Array.make (Array.length (Graph.adjacency t.graph)) missing in
+  for i = 0 to g.Geom.n_wires - 1 do
+    let u = g.Geom.edge_u.{i} and v = g.Geom.edge_v.{i} in
+    let s = Graph.slot t.graph u v in
+    if s >= 0 then begin
+      let x = f i in
+      col.(s) <- x;
+      col.(Graph.slot t.graph v u) <- x
+    end
+  done;
+  col
+
 let bounding_box t = Geom.bounding_box t.geom
 
-let translate t ~dx ~dy =
-  let geom = Geom.translate t.geom ~dx ~dy in
-  {
-    t with
-    geom;
-    wires_v = lazy (Geom.wires_view geom);
-    nodes_v = lazy (Geom.nodes_view geom);
-  }
+let translate t ~dx ~dy = { t with geom = Geom.translate t.geom ~dx ~dy }
 
 let metrics t =
   let bbox = bounding_box t in

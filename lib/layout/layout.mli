@@ -1,10 +1,11 @@
 (** Realized multilayer layouts: node footprints on layer 1 plus one
     routed wire per network edge, with the cost metrics of §2.2.
 
-    Geometry is held columnarly (see {!Geom}); [wires]/[nodes]
-    materialize record views lazily for the small-layout API, while
-    bulk consumers (checking, metrics, serialization, rendering) read
-    the columns directly. *)
+    Geometry is held columnarly (see {!Geom}); [wires]/[nodes] build
+    record views on each call for the small-layout API, while bulk
+    consumers (checking, metrics, routing, serialization, rendering)
+    read the columns directly.  A [t] caches nothing and is never
+    mutated, so any number of domains may read one at once. *)
 
 open Mvl_geometry
 open Mvl_topology
@@ -50,11 +51,19 @@ val node_layers : t -> int array
 val geom : t -> Geom.t
 
 val wires : t -> Wire.t array
-(** One wire per graph edge, same order as [Graph.edges graph].
-    Materialized lazily from the columns on first use and cached. *)
+(** One wire per graph edge, same order as [Graph.edges graph].  Built
+    from the columns on each call and not kept: bind it once rather
+    than calling it in a loop, and read {!geom} on large layouts. *)
 
 val nodes : t -> Rect.t array
-(** Footprint of each node, materialized lazily like [wires]. *)
+(** Footprint of each node, built on each call like [wires]. *)
+
+val edge_column : t -> missing:'a -> (int -> 'a) -> 'a array
+(** [edge_column t ~missing f] lays a per-wire value out per directed
+    edge: it holds [f i] in both slots of wire [i]'s edge in
+    [Graph.adjacency (graph t)] (slot [s] of row [u] answers for the
+    edge [u -> adj.(s)]), and [missing] for an edge no wire is routed
+    for.  Reads the edge columns of {!geom}; builds no view. *)
 
 val node_rect : t -> int -> Rect.t
 (** Footprint of one node straight from the columns (no array

@@ -31,25 +31,27 @@ let wire_delay p ~length ~vias =
   in
   p.t_drive +. wire_term +. (p.via_penalty *. float_of_int vias)
 
-let delay_of_wire p w =
-  let xy = Wire.length_xy w in
-  wire_delay p ~length:xy ~vias:(Wire.length w - xy)
+(* one delay per wire, read straight from the geometry columns: the
+   in-plane length, and the vias as the rest of the full length *)
+let wire_delays p (layout : Layout.t) =
+  let g = Layout.geom layout in
+  Array.init g.Geom.n_wires (fun i ->
+      let xy = Geom.wire_length_xy g i in
+      wire_delay p ~length:xy ~vias:(Geom.wire_length g i - xy))
 
-let slowest_wire p (layout : Layout.t) =
-  Array.fold_left
-    (fun acc w -> max acc (delay_of_wire p w))
-    0.0 (Layout.wires layout)
+let slowest_wire p layout = Array.fold_left max 0.0 (wire_delays p layout)
 
 let worst_route_latency ?(samples = 8) p (layout : Layout.t) =
   let graph = Layout.graph layout in
-  let delays = Hashtbl.create (Graph.m graph) in
-  Array.iter
-    (fun w -> Hashtbl.replace delays w.Wire.edge (delay_of_wire p w))
-    (Layout.wires layout);
-  let edge_delay u v =
-    let key = if u < v then (u, v) else (v, u) in
-    Hashtbl.find delays key
+  let edge_delay =
+    Layout.edge_column layout ~missing:nan (Array.get (wire_delays p layout))
   in
+  let delay_at s =
+    let d = edge_delay.(s) in
+    if Float.is_nan d then raise Not_found;
+    d
+  in
+  let row = Graph.row_offsets graph and adj = Graph.adjacency graph in
   let n = Graph.n graph in
   let best_from src =
     let dist = Graph.bfs_dist graph src in
@@ -60,11 +62,13 @@ let worst_route_latency ?(samples = 8) p (layout : Layout.t) =
     Array.iter
       (fun v ->
         if dist.(v) > 0 && dist.(v) < max_int then
-          Graph.iter_neighbors graph v (fun u ->
-              if dist.(u) = dist.(v) - 1 && best.(u) < infinity then begin
-                let candidate = best.(u) +. p.t_node +. edge_delay u v in
-                if candidate < best.(v) then best.(v) <- candidate
-              end))
+          for s = row.(v) to row.(v + 1) - 1 do
+            let u = adj.(s) in
+            if dist.(u) = dist.(v) - 1 && best.(u) < infinity then begin
+              let candidate = best.(u) +. p.t_node +. delay_at s in
+              if candidate < best.(v) then best.(v) <- candidate
+            end
+          done)
       order;
     Array.fold_left
       (fun acc b -> if b < infinity && b > acc then b else acc)

@@ -3,27 +3,31 @@ open Mvl_layout
 
 type t = {
   graph : Graph.t;
-  lengths : (int, int) Hashtbl.t;  (* keyed [min * n + max] *)
+  (* in-plane wire length per directed edge, aligned with
+     [Graph.adjacency] (both slots of an edge hold its wire's length);
+     -1 for an edge the layout has no wire for *)
+  lengths : int array;
   max_wire : int;
 }
 
-let pack n u v = (min u v * n) + max u v
-
 let of_layout (layout : Layout.t) =
-  let graph = Layout.graph layout in
-  let n = Graph.n graph in
-  let lengths = Hashtbl.create (Graph.m graph) in
-  let max_wire = ref 0 in
-  Array.iter
-    (fun w ->
-      let len = Wire.length_xy w in
-      if len > !max_wire then max_wire := len;
-      let u, v = w.Wire.edge in
-      Hashtbl.replace lengths (pack n u v) len)
-    (Layout.wires layout);
-  { graph; lengths; max_wire = !max_wire }
+  let geom = Layout.geom layout in
+  let lens = Array.init geom.Geom.n_wires (Geom.wire_length_xy geom) in
+  {
+    graph = Layout.graph layout;
+    lengths = Layout.edge_column layout ~missing:(-1) (Array.get lens);
+    max_wire = Array.fold_left max 0 lens;
+  }
 
-let edge_length t u v = Hashtbl.find t.lengths (pack (Graph.n t.graph) u v)
+let length_at t s =
+  let len = t.lengths.(s) in
+  if len < 0 then raise Not_found;
+  len
+
+let edge_length t u v =
+  let s = Graph.slot t.graph u v in
+  if s < 0 then raise Not_found;
+  length_at t s
 
 let best_path_wire t ~src =
   let n = Graph.n t.graph in
@@ -34,14 +38,17 @@ let best_path_wire t ~src =
      enters a node from a predecessor one BFS level below *)
   let order = Array.init n (fun i -> i) in
   Array.sort (fun a b -> Int.compare dist.(a) dist.(b)) order;
+  let row = Graph.row_offsets t.graph and adj = Graph.adjacency t.graph in
   Array.iter
     (fun v ->
       if dist.(v) > 0 && dist.(v) < max_int then
-        Graph.iter_neighbors t.graph v (fun u ->
-            if dist.(u) = dist.(v) - 1 && best.(u) < max_int then begin
-              let candidate = best.(u) + edge_length t u v in
-              if candidate < best.(v) then best.(v) <- candidate
-            end))
+        for s = row.(v) to row.(v + 1) - 1 do
+          let u = adj.(s) in
+          if dist.(u) = dist.(v) - 1 && best.(u) < max_int then begin
+            let candidate = best.(u) + length_at t s in
+            if candidate < best.(v) then best.(v) <- candidate
+          end
+        done)
     order;
   best
 

@@ -6,13 +6,18 @@
 open Mvl_layout
 
 type t
-(** A layout together with its per-edge wire-length table. *)
+(** A layout's graph together with the in-plane length of each edge's
+    wire, kept per directed edge in an int column aligned with
+    [Graph.adjacency]. *)
 
 val of_layout : Layout.t -> t
+(** Reads the lengths straight from the layout's geometry columns
+    ([Geom.edge_u], [Geom.edge_v], [Geom.wire_length_xy]); it builds
+    no [Wire.t] view and keeps no reference to the layout. *)
 
 val edge_length : t -> int -> int -> int
 (** In-plane wire length of the edge [u]-[v]; raises [Not_found] when
-    not adjacent. *)
+    not adjacent (or when the layout routes no wire for the edge). *)
 
 val best_path_wire : t -> src:int -> int array
 (** [best_path_wire t ~src] gives, for every destination, the minimum

@@ -85,7 +85,10 @@ let link_latency_of_layout ?(units_per_cycle = 64) layout =
    - Routing is a transposed table: [next_out.(u).(dest)], so one
      router's scan stays inside a single row (the per-destination
      arrays of {!Routing_table} would scatter it across as many arrays
-     as there are destinations in the queue).
+     as there are destinations in the queue).  Each cell packs the next
+     hop with the latency of the link to it, so a grant reads one word:
+     [link_latency] is resolved once per directed edge before cycle 0,
+     and no closure or hash table is consulted after that.
    - The per-router grant set is a node-indexed scratch array versioned
      by a generation counter, replacing the per-router-per-cycle
      [Hashtbl.create 8].
@@ -143,29 +146,32 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs graph =
     !b
   in
   let dmask = (1 lsl dshift) - 1 in
-  (* shared read-only routing matrix: the full destination set is known
-     up front from the traffic pattern, so shards pre-build disjoint
-     column slices before cycle 0 (first barrier publishes them) and the
-     run itself never touches the Routing_table cache *)
+  (* [link_latency] is called here, once per directed edge, and never
+     again: [create] resolves it into a per-slot column, the tie-break
+     reads the raw values and the links their clamp to 1 *)
   let routing = Routing_table.create ~edge_cost:link_latency graph in
+  let adj = Graph.adjacency graph in
+  let lat = Array.map (fun c -> max 1 c) (Routing_table.costs routing) in
   let dests = Traffic.destinations config.traffic ~n_nodes:n in
   let n_dests = Array.length dests in
+  (* shared read-only routing matrix, transposed: cell
+     next_out.(u).(dest) packs the next hop and the latency of the link
+     to it as [(lat lsl dshift) lor next], -1 when there is none.  The
+     full destination set is known up front from the traffic pattern,
+     so shards pre-build disjoint column slices before cycle 0 (the
+     first barrier publishes them) *)
   let next_out = Array.init n (fun _ -> Array.make n (-1)) in
   (* timing wheel sized from the slowest link, rounded up to a power of
      two so the slot computation is a mask *)
-  let max_lat = ref 1 in
-  Graph.iter_edges graph (fun u v ->
-      max_lat := max !max_lat (max 1 (link_latency u v));
-      max_lat := max !max_lat (max 1 (link_latency v u)));
+  let max_lat = Array.fold_left max 1 lat in
   let wheel_size =
     let c = ref 1 in
-    while !c < !max_lat + 1 do
+    while !c < max_lat + 1 do
       c := !c * 2
     done;
     !c
   in
   let wheel_mask = wheel_size - 1 in
-  let unit_latency = !max_lat = 1 in
   let horizon = config.warmup + config.measure + config.drain in
   let owner = Sim_shard.owner_table ~n ~shards in
   (* mail.(s).(t): written by shard s in phase 1, drained by shard t in
@@ -258,13 +264,17 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs graph =
     let cycle = ref 0 in
     let continue = ref (horizon > 0) in
     (* pre-build this shard's slice of the shared routing matrix:
-       disjoint (u, dest) cells per shard, published by the barrier *)
+       disjoint (u, dest) cells per shard, published by the barrier;
+       one set of scratch arrays serves every destination *)
     let dlo = w * n_dests / shards and dhi = (w + 1) * n_dests / shards in
+    let dist = Array.make n 0 and bfs_queue = Array.make n 0 in
+    let slots = Array.make n 0 in
     for i = dlo to dhi - 1 do
       let dest = dests.(i) in
-      let tbl = Routing_table.build routing dest in
+      Routing_table.fill routing ~dist ~queue:bfs_queue ~slots dest;
       for u = 0 to n - 1 do
-        next_out.(u).(dest) <- tbl.(u)
+        let s = slots.(u) in
+        if s >= 0 then next_out.(u).(dest) <- (lat.(s) lsl dshift) lor adj.(s)
       done
     done;
     Barrier.wait barrier;
@@ -330,17 +340,16 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs graph =
           (* pass 1: decide (and schedule) in queue order *)
           for i = 0 to k - 1 do
             let v = Int_ring.unsafe_get q i in
-            let out = Array.unsafe_get row (v land dmask) in
-            if out < 0 then invalid_arg "Network_sim.run: unreachable node";
+            let cell = Array.unsafe_get row (v land dmask) in
+            if cell < 0 then invalid_arg "Network_sim.run: unreachable node";
+            let out = cell land dmask in
             if Array.unsafe_get granted_gen out = g then
               Array.unsafe_set keep i true
             else begin
               Array.unsafe_set granted_gen out g;
               Array.unsafe_set keep i false;
               let pid = v lsr dshift in
-              let lat =
-                if unit_latency then 1 else max 1 (link_latency u out)
-              in
+              let lat = cell lsr dshift in
               if out < direct_hi then begin
                 Array.unsafe_set hops_a pid (Array.unsafe_get hops_a pid + 1);
                 let b = Array.unsafe_get bucket ((now + lat) land wheel_mask) in
@@ -460,20 +469,26 @@ let saturation_throughput ?(config = default_config) ?link_latency graph =
 let zero_load_latency ?(samples = 64) ?(link_latency = fun _ _ -> 1) graph =
   let n = Graph.n graph in
   let routing = Routing_table.create ~edge_cost:link_latency graph in
+  let cost = Routing_table.costs routing and adj = Graph.adjacency graph in
+  let dist = Array.make n 0 and queue = Array.make n 0 in
+  let slots = Array.make n 0 in
   let rng = Rng.create ~seed:7 in
   let total = ref 0 and count = ref 0 in
   for _ = 1 to samples do
     let src = Rng.int rng ~bound:n in
     let dest = Rng.int rng ~bound:n in
     if src <> dest then begin
-      let path = Routing_table.path routing ~src ~dest in
-      let rec walk = function
-        | a :: (b :: _ as rest) ->
-            total := !total + max 1 (link_latency a b);
-            walk rest
-        | _ -> ()
-      in
-      walk path;
+      (* walk the routed path slot by slot, paying each link's clamped
+         latency *)
+      Routing_table.fill routing ~dist ~queue ~slots dest;
+      let at = ref src in
+      while !at <> dest do
+        let s = slots.(!at) in
+        if s < 0 then
+          invalid_arg "Network_sim.zero_load_latency: unreachable node";
+        total := !total + max 1 cost.(s);
+        at := adj.(s)
+      done;
       count := !count + 1
     end
   done;

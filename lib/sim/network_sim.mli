@@ -59,9 +59,10 @@ val run :
   Graph.t ->
   result
 (** [run graph] simulates the network.  [link_latency u v] is in cycles
-    (default 1 everywhere); it must be symmetric and >= 1 — and, when
-    [jobs > 1], callable from multiple domains at once (pure functions
-    and {!link_latency_of_layout} closures qualify).
+    (default 1 everywhere).  It is called once per directed edge, in
+    the calling domain, before the first cycle.  The link [u -> v]
+    takes [max 1 (link_latency u v)] cycles, while the route tie-break
+    among hop-shortest next hops compares the raw values.
 
     [jobs] shards the routers across that many domains (capped at the
     node count) advancing in barrier-phased lockstep; the result is

@@ -2,77 +2,83 @@ open Mvl_topology
 
 type t = {
   graph : Graph.t;
-  edge_cost : int -> int -> int;
-  (* dest -> per-node next hop towards dest; shared across domains, so
-     every access goes through [lock] *)
-  cache : (int, int array) Hashtbl.t;
-  lock : Mutex.t;
+  (* [edge_cost] resolved once per directed edge, aligned with
+     [Graph.adjacency]: cost.(s) = edge_cost u adj.(s) for the row [u]
+     holding slot [s].  Immutable after [create], so a [t] may be
+     shared by every domain. *)
+  cost : int array;
 }
 
-let create ?(edge_cost = fun _ _ -> 0) graph =
-  { graph; edge_cost; cache = Hashtbl.create 64; lock = Mutex.create () }
+let create ?edge_cost graph =
+  let row = Graph.row_offsets graph and adj = Graph.adjacency graph in
+  let cost = Array.make (Array.length adj) 0 in
+  (match edge_cost with
+  | None -> ()
+  | Some f ->
+      for u = 0 to Graph.n graph - 1 do
+        for s = row.(u) to row.(u + 1) - 1 do
+          cost.(s) <- f u adj.(s)
+        done
+      done);
+  { graph; cost }
 
-let with_lock t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
+let costs t = t.cost
 
-(* build the next-hop array for one destination: BFS from [dest]; each
-   node forwards to the predecessor that minimizes (cost, id) among
-   neighbours one level closer to dest.  The (cost, id) minimum is
-   tracked as two explicit ints — no tuple allocation or polymorphic
-   comparison in the per-neighbor loop.  Pure given an immutable graph
-   and a thread-safe [edge_cost], so it is safe to call from any
-   domain. *)
+(* BFS from [dest]; each node forwards to the predecessor that
+   minimizes (cost, id) among neighbours one level closer to dest.  A
+   row's slots list its neighbours in increasing id order, so the first
+   slot reaching the minimum cost is the (cost, id) minimum: a later
+   slot wins only on a strictly lower cost, or by being the first
+   candidate (which makes even a max_int cost win, as the old
+   (max_int, max_int) sentinel pair did).  Everything it writes lives
+   in the caller's arrays, so any number of domains may fill tables
+   from one shared [t] at once. *)
+let fill t ~dist ~queue ~slots dest =
+  let g = t.graph in
+  let n = Graph.n g in
+  let row = Graph.row_offsets g and adj = Graph.adjacency g in
+  let cost = t.cost in
+  if Array.length slots < n then
+    invalid_arg "Routing_table.fill: scratch shorter than the node count";
+  Graph.bfs_fill g ~dist ~queue dest;
+  for u = 0 to n - 1 do
+    let du = dist.(u) in
+    let best = ref (-1) in
+    if u <> dest && du < max_int then begin
+      let best_cost = ref max_int in
+      for s = row.(u) to row.(u + 1) - 1 do
+        if dist.(adj.(s)) = du - 1 then begin
+          let c = cost.(s) in
+          if !best < 0 || c < !best_cost then begin
+            best := s;
+            best_cost := c
+          end
+        end
+      done
+    end;
+    slots.(u) <- !best
+  done
+
 let build t dest =
   let n = Graph.n t.graph in
-  let dist = Graph.bfs_dist t.graph dest in
-  let hop = Array.make n (-1) in
+  let adj = Graph.adjacency t.graph in
+  let hop = Array.make n 0 in
+  fill t ~dist:(Array.make n 0) ~queue:(Array.make n 0) ~slots:hop dest;
   for u = 0 to n - 1 do
-    if u <> dest && dist.(u) < max_int then begin
-      let best = ref (-1) and best_cost = ref max_int in
-      Graph.iter_neighbors t.graph u (fun v ->
-          if dist.(v) = dist.(u) - 1 then begin
-            let c = t.edge_cost u v in
-            (* lexicographic (cost, id) with the unset state folded in:
-               best < 0 makes even a max_int-cost first candidate win,
-               matching the old (max_int, max_int) sentinel pair *)
-            if c < !best_cost || (c = !best_cost && (!best < 0 || v < !best))
-            then begin
-              best_cost := c;
-              best := v
-            end
-          end);
-      hop.(u) <- !best
-    end
+    if hop.(u) >= 0 then hop.(u) <- adj.(hop.(u))
   done;
   hop
 
-(* double-checked insert: build outside the lock (builds for the same
-   dest are deterministic and identical, so a racing duplicate build is
-   benign — the first insert wins and everyone returns that array) *)
-let table t dest =
-  match with_lock t (fun () -> Hashtbl.find_opt t.cache dest) with
-  | Some h -> h
-  | None ->
-      let h = build t dest in
-      with_lock t (fun () ->
-          match Hashtbl.find_opt t.cache dest with
-          | Some winner -> winner
-          | None ->
-              Hashtbl.add t.cache dest h;
-              h)
-
-let next_hop t ~at ~dest =
-  if at = dest then invalid_arg "Routing_table.next_hop: already there";
-  let hop = (table t dest).(at) in
-  if hop < 0 then invalid_arg "Routing_table.next_hop: unreachable";
-  hop
-
 let path t ~src ~dest =
-  let rec go acc at =
-    if at = dest then List.rev (dest :: acc)
-    else go (at :: acc) (next_hop t ~at ~dest)
-  in
-  if src = dest then [ src ] else go [] src
+  if src = dest then [ src ]
+  else begin
+    let hop = build t dest in
+    let rec go acc at =
+      if at = dest then List.rev (dest :: acc)
+      else if hop.(at) < 0 then invalid_arg "Routing_table.path: unreachable"
+      else go (at :: acc) hop.(at)
+    in
+    go [] src
+  end
 
 let hops t ~src ~dest = List.length (path t ~src ~dest) - 1

@@ -1,15 +1,16 @@
 (** Deterministic minimal routing tables.
 
-    [next_hop t ~at ~dest] is the neighbour to forward to, chosen on a
-    BFS-shortest path with a deterministic tie-break (prefer the
-    lowest-latency outgoing link, then the lowest neighbour id), so the
-    routing is oblivious and reproducible.  Tables are built per
-    destination on demand and cached.
+    A table towards [dest] gives every node the neighbour to forward
+    to, chosen on a BFS-shortest path with a deterministic tie-break
+    (prefer the lowest-cost outgoing link, then the lowest neighbour
+    id), so the routing is oblivious and reproducible.
 
-    Domain safety: the cache is mutex-guarded, so {!table} (and
-    everything built on it) may be called concurrently from multiple
-    domains; for a given destination every caller sees the same array.
-    Tables are immutable after construction — share them freely. *)
+    {!create} calls [edge_cost] once per directed edge and keeps the
+    answers in an int column aligned with {!Graph.adjacency}; building
+    a table reads that column and never calls the closure.  Nothing is
+    cached: each {!build} (and each {!path}) computes its table afresh,
+    and a [t] is immutable, so one [t] may be shared by any number of
+    domains. *)
 
 open Mvl_topology
 
@@ -17,26 +18,29 @@ type t
 
 val create : ?edge_cost:(int -> int -> int) -> Graph.t -> t
 (** [edge_cost u v] breaks ties among hop-shortest paths (default:
-    constant). *)
+    constant).  It is called here, once per directed edge, and never
+    again. *)
 
-val next_hop : t -> at:int -> dest:int -> int
-(** Raises [Invalid_argument] if [dest] is unreachable or
-    [at = dest]. *)
-
-val table : t -> int -> int array
-(** [table t dest] is the per-node next-hop array towards [dest]
-    ([-1] for [dest] itself and unreachable nodes), built on first use
-    and cached.  Hot loops index it directly instead of paying
-    {!next_hop}'s per-call table lookup. *)
+val costs : t -> int array
+(** The resolved costs: slot [s] of row [u] holds [edge_cost u
+    (Graph.adjacency g).(s)].  The table's own array: treat it as
+    read-only. *)
 
 val build : t -> int -> int array
-(** [build t dest] computes a fresh next-hop array towards [dest]
-    without consulting or populating the cache.  Use it to pre-build
-    table sets in parallel (it is pure given an immutable graph and a
-    thread-safe [edge_cost]) when the shared cache would serialize or
-    retain more than needed. *)
+(** [build t dest] is a fresh per-node next-hop array towards [dest]
+    ([-1] for [dest] itself and unreachable nodes). *)
+
+val fill :
+  t -> dist:int array -> queue:int array -> slots:int array -> int -> unit
+(** [fill t ~dist ~queue ~slots dest] is {!build} without allocation:
+    it writes into [slots.(u)] the slot (in {!Graph.adjacency}) of
+    [u]'s next hop towards [dest], or [-1], using [dist] and [queue] as
+    scratch.  Each array needs at least [Graph.n] entries.  A caller
+    building many tables reuses the three arrays, and reads a per-edge
+    column (such as {!costs}) at the chosen slot. *)
 
 val path : t -> src:int -> dest:int -> int list
-(** The full node sequence, [src] and [dest] included. *)
+(** The full node sequence, [src] and [dest] included.  Raises
+    [Invalid_argument] when [dest] is unreachable from [src]. *)
 
 val hops : t -> src:int -> dest:int -> int

@@ -159,13 +159,18 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs fabric =
     Array.fold_left (fun m a -> max m (Array.length a)) 1 neighbors
   in
   let max_inputs = max_deg + 1 in
-  let max_lat = ref 1 in
-  Graph.iter_edges graph (fun u v ->
-      max_lat := max !max_lat (max 1 (link_latency u v));
-      max_lat := max !max_lat (max 1 (link_latency v u)));
+  (* lat.(u).(d): cycles over the link u -> neighbors.(u).(d), the one
+     place [link_latency] is called (once per directed edge); a flit
+     forward reads lat.(u).(d), a credit back to upstream [v] over the
+     link it came in on reads lat.(v).(back_idx.(u).(in_idx)) *)
+  let lat =
+    Array.init n (fun u ->
+        Array.map (fun v -> max 1 (link_latency u v)) neighbors.(u))
+  in
+  let max_lat = Array.fold_left (Array.fold_left max) 1 lat in
   let wheel_size =
     let c = ref 1 in
-    while !c < !max_lat + 1 do
+    while !c < max_lat + 1 do
       c := !c * 2
     done;
     !c
@@ -342,8 +347,9 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs fabric =
        message to its owner *)
     let return_credit ~now u in_idx vc =
       let upstream = neighbors.(u).(in_idx) in
-      let lat = max 1 (link_latency upstream u) in
-      let addr = (((upstream * max_deg) + back_idx.(u).(in_idx)) * vcs) + vc in
+      let d = back_idx.(u).(in_idx) in
+      let lat = lat.(upstream).(d) in
+      let addr = (((upstream * max_deg) + d) * vcs) + vc in
       if own upstream then
         Int_ring.push credit_returns.((now + lat) land wheel_mask) addr
       else begin
@@ -573,7 +579,7 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs fabric =
                       used_stamp.(d) <- st;
                       credits.(u).(d).(out_vc) <- credits.(u).(d).(out_vc) - 1;
                       let v = nbrs.(d) in
-                      let lat = max 1 (link_latency u v) in
+                      let lat = lat.(u).(d) in
                       let addr =
                         (((v * max_inputs) + back_idx.(u).(d)) * vcs) + out_vc
                       in

@@ -81,7 +81,8 @@ val run :
     node count) in barrier-phased lockstep, byte-identical for every
     value — see {!Network_sim.run}; omitted, [<= 1], or under
     [MVL_FORCE_FORK=1] one shard runs in the calling domain and no
-    domain is spawned.  A [link_latency] used with [jobs > 1] must be
-    callable from multiple domains at once. *)
+    domain is spawned.  [link_latency u v] is called once per directed
+    edge, in the calling domain, before the first cycle; a value below
+    1 counts as 1. *)
 
 val graph_of_fabric : fabric -> Mvl_topology.Graph.t

@@ -102,20 +102,25 @@ let iter_neighbors g u f =
     f g.adj.(i)
   done
 
-let mem_edge g u v =
+let row_offsets g = g.row
+let adjacency g = g.adj
+
+let slot g u v =
   check_endpoint g.n u;
   check_endpoint g.n v;
   (* binary search for v among neighbours of u *)
   let lo = ref g.row.(u) and hi = ref (g.row.(u + 1) - 1) in
-  let found = ref false in
-  while (not !found) && !lo <= !hi do
+  let found = ref (-1) in
+  while !found < 0 && !lo <= !hi do
     let mid = (!lo + !hi) / 2 in
     let w = g.adj.(mid) in
-    if w = v then found := true
+    if w = v then found := mid
     else if w < v then lo := mid + 1
     else hi := mid - 1
   done;
   !found
+
+let mem_edge g u v = slot g u v >= 0
 
 let edges g = Array.copy g.edge_list
 
@@ -124,20 +129,33 @@ let iter_edges g f = Array.iter (fun (u, v) -> f u v) g.edge_list
 let fold_edges g ~init ~f =
   Array.fold_left (fun acc (u, v) -> f acc u v) init g.edge_list
 
-let bfs_dist g s =
+(* every node enters the queue at most once, so an [n]-slot int array
+   with a head and a tail index is the whole queue *)
+let bfs_fill g ~dist ~queue s =
   check_endpoint g.n s;
-  let dist = Array.make g.n max_int in
-  let queue = Queue.create () in
+  if Array.length dist < g.n || Array.length queue < g.n then
+    invalid_arg "Graph.bfs_fill: scratch shorter than the node count";
+  Array.fill dist 0 g.n max_int;
   dist.(s) <- 0;
-  Queue.add s queue;
-  while not (Queue.is_empty queue) do
-    let u = Queue.pop queue in
-    iter_neighbors g u (fun v ->
-        if dist.(v) = max_int then begin
-          dist.(v) <- dist.(u) + 1;
-          Queue.add v queue
-        end)
-  done;
+  queue.(0) <- s;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let u = queue.(!head) in
+    incr head;
+    let du = dist.(u) + 1 in
+    for i = g.row.(u) to g.row.(u + 1) - 1 do
+      let v = g.adj.(i) in
+      if dist.(v) = max_int then begin
+        dist.(v) <- du;
+        queue.(!tail) <- v;
+        incr tail
+      end
+    done
+  done
+
+let bfs_dist g s =
+  let dist = Array.make g.n 0 in
+  bfs_fill g ~dist ~queue:(Array.make g.n 0) s;
   dist
 
 let is_connected g =

@@ -41,6 +41,26 @@ val iter_neighbors : t -> int -> (int -> unit) -> unit
 val mem_edge : t -> int -> int -> bool
 (** [mem_edge g u v] tests adjacency (in either orientation). *)
 
+(** {2 CSR access}
+
+    The neighbours of [u] sit at the slots [row.(u) .. row.(u+1) - 1]
+    of the adjacency column, each row sorted increasingly, so slot [s]
+    of row [u] names the directed edge [u -> adj.(s)].  Data kept per
+    directed edge (a link latency, a wire length) can live in an array
+    of [2 * m g] entries aligned with the adjacency column, and a hot
+    loop reads it by slot instead of looking the edge up.  Both arrays
+    are the graph's own: treat them as read-only. *)
+
+val row_offsets : t -> int array
+(** The [n + 1] row offsets into {!adjacency}. *)
+
+val adjacency : t -> int array
+(** The [2 * m] neighbour slots, row by row. *)
+
+val slot : t -> int -> int -> int
+(** [slot g u v] is the slot of [v] in [u]'s row, or [-1] when [u] and
+    [v] are not adjacent (binary search). *)
+
 val edges : t -> (int * int) array
 (** All edges as pairs [(u, v)] with [u < v], sorted lexicographically. *)
 
@@ -53,6 +73,12 @@ val fold_edges : t -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 val bfs_dist : t -> int -> int array
 (** [bfs_dist g s] is the array of BFS distances from [s]; unreachable
     nodes get [max_int]. *)
+
+val bfs_fill : t -> dist:int array -> queue:int array -> int -> unit
+(** [bfs_fill g ~dist ~queue s] writes the distances of {!bfs_dist}
+    into the first [n g] entries of [dist], using [queue] (at least
+    [n g] entries) as scratch, so many searches can reuse two arrays
+    instead of allocating. *)
 
 val is_connected : t -> bool
 (** True when the graph has a single connected component (the empty graph

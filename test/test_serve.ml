@@ -240,6 +240,33 @@ let test_error_reply () =
   | Error m -> Alcotest.fail m);
   C.close c
 
+(* two sims pipelined on one connection for a layout the pipeline
+   cache already holds: the daemon's two workers evaluate them at once
+   on one shared [Layout.t], which used to memoize its wire view in a
+   [Lazy.t] that two domains could not force together (one reply came
+   back as a [CamlinternalLazy.Undefined] error) *)
+let test_concurrent_sims_on_cached_layout () =
+  with_server @@ fun path ->
+  let c = connect_exn path in
+  let spec = "hypercube:9" and layers = 4 in
+  (match
+     C.rpc c { P.id = 1; op = P.Layout { spec; layers; validate = false } }
+   with
+  | Ok _ -> ()
+  | Error m -> Alcotest.fail m);
+  let sim id load =
+    P.encode_request
+      { P.id; op = P.Sim { spec; layers; load; pattern = "uniform" } }
+  in
+  C.send_raw c (sim 2 0.01 ^ "\n" ^ sim 3 0.02 ^ "\n");
+  for _ = 1 to 2 do
+    match Result.bind (C.recv_line c) P.parse_reply with
+    | Ok (_, Ok _) -> ()
+    | Ok (id, Error m) -> Alcotest.failf "sim %d: %s" id m
+    | Error m -> Alcotest.fail m
+  done;
+  C.close c
+
 let suite =
   [
     Alcotest.test_case "request round trip" `Quick test_request_roundtrip;
@@ -255,4 +282,6 @@ let suite =
     Alcotest.test_case "stats op" `Quick test_stats_op;
     Alcotest.test_case "error reply keeps the connection" `Quick
       test_error_reply;
+    Alcotest.test_case "two sims on one cached layout" `Quick
+      test_concurrent_sims_on_cached_layout;
   ]

@@ -304,6 +304,30 @@ let test_golden_layout_latencies () =
     ~cycles:519 ~p50:9 ~p95:17 ~p99:29 ~max:44
     ~hist_hash:3680214140189885059
 
+(* link latencies of -2..3, different in each direction: a link
+   charges max 1 of its value, while the route tie-break compares the
+   raw values, so -2 beats 0 and the clamp must not reach the
+   tie-break.  Captured from the engine that called the closure once
+   per candidate and once per grant; zero-load walks clamp the same
+   way *)
+let clamped_latency u v = (((u * 7) + (v * 3)) mod 6) - 2
+
+let clamped_cfg =
+  { Mvl.Network_sim.default_config with
+    Mvl.Network_sim.offered_load = 0.3; warmup = 100; measure = 400;
+    drain = 2000; seed = 5 }
+
+let test_golden_clamped_latencies () =
+  let g = Mvl.Hypercube.create 6 in
+  check_golden "hypercube:6 clamped latencies"
+    (Mvl.Network_sim.run ~config:clamped_cfg ~link_latency:clamped_latency g)
+    ~injected:7760 ~delivered:7760 ~undrained:0 ~hop_total:23556
+    ~cycles:541 ~p50:5 ~p95:34 ~p99:42 ~max:56
+    ~hist_hash:1266138061897620718;
+  Alcotest.(check (float 0.0))
+    "zero-load latency" 3.828125
+    (Mvl.Network_sim.zero_load_latency ~link_latency:clamped_latency g)
+
 (* a zero horizon (warmup + measure + drain = 0) simulates no cycle,
    with one shard or two *)
 let test_zero_horizon () =
@@ -421,6 +445,10 @@ let test_sharded_matches_serial () =
         layout_latency_cfg,
         Some (Lazy.force hypercube8_l4_latency),
         Mvl.Hypercube.create 8 );
+      ( "hypercube:6 clamped latencies",
+        clamped_cfg,
+        Some clamped_latency,
+        Mvl.Hypercube.create 6 );
     ]
   in
   List.iter
@@ -437,49 +465,121 @@ let test_sharded_matches_serial () =
         [ 2; 3; 4 ])
     configs
 
-(* hammer the shared routing-table cache from four domains at once:
-   the unguarded Hashtbl insert used to let a reader observe a
-   half-resized bucket array (or two racing builders corrupt the
-   table); under the mutex every caller must get a complete, minimal
-   next-hop array, identical across domains *)
+(* four domains build every table from one shared [t] at once, each
+   starting at a different destination: every table must equal the
+   serial build and be minimal.  A [t] holding any scratch (a shared
+   BFS queue, distance or hop array) would let one domain's build
+   overwrite another's mid-flight *)
 let test_routing_table_domain_safe () =
   let g = Mvl.Hypercube.create 8 in
   let n = Mvl.Graph.n g in
-  let t = Mvl.Routing_table.create g in
-  (* each domain walks every destination, starting at a different
-     offset so builders collide on the cache from cycle one *)
+  let t = Mvl.Routing_table.create ~edge_cost:clamped_latency g in
   let grab offset =
     Array.init n (fun i ->
         let dest = (i + (offset * 61)) mod n in
-        (dest, Mvl.Routing_table.table t dest))
+        (dest, Mvl.Routing_table.build t dest))
   in
   let per_domain, _stats =
     Mvl.Domain_pool.map ~domains:4 ~f:grab [| 0; 1; 2; 3 |]
   in
-  let reference = Array.init n (Mvl.Routing_table.build t) in
+  let serial = Array.init n (Mvl.Routing_table.build t) in
   Array.iter
     (Array.iter (fun (dest, tbl) ->
          Alcotest.(check (array int))
            (Printf.sprintf "table to %d complete" dest)
-           reference.(dest) tbl))
+           serial.(dest) tbl))
     per_domain;
-  (* the check above compares against fresh uncached builds; also pin
-     the structural properties directly: dest maps to -1, every other
-     node to a neighbour one BFS step closer *)
-  let dest = 5 in
-  let sample = Mvl.Routing_table.table t dest in
-  let dist = Mvl.Graph.bfs_dist g dest in
+  (* structural properties of every serial table: dest maps to -1,
+     every other node to a neighbour one BFS step closer *)
   Array.iteri
-    (fun v next ->
-      if v = dest then Alcotest.(check int) "dest slot" (-1) next
+    (fun dest tbl ->
+      let dist = Mvl.Graph.bfs_dist g dest in
+      Array.iteri
+        (fun v next ->
+          if v = dest then Alcotest.(check int) "dest slot" (-1) next
+          else if
+            not (Mvl.Graph.mem_edge g v next && dist.(next) = dist.(v) - 1)
+          then
+            Alcotest.failf "table to %d: %d -> %d is not minimal" dest v next)
+        tbl)
+    serial
+
+(* reference table build sharing nothing with [Routing_table] but the
+   graph: a closure call per candidate, [Graph.iter_neighbors], a
+   [Queue] BFS and the (cost, id) tie-break spelled out *)
+let reference_table ~edge_cost g dest =
+  let n = Mvl.Graph.n g in
+  let dist = Array.make n max_int in
+  let queue = Queue.create () in
+  dist.(dest) <- 0;
+  Queue.add dest queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    Mvl.Graph.iter_neighbors g u (fun v ->
+        if dist.(v) = max_int then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.add v queue
+        end)
+  done;
+  Array.init n (fun u ->
+      if u = dest || dist.(u) = max_int then -1
       else begin
-        Alcotest.(check bool) "next is a neighbour" true
-          (Mvl.Graph.mem_edge g v next);
-        Alcotest.(check int)
-          (Printf.sprintf "minimal at %d" v)
-          (dist.(v) - 1) dist.(next)
+        let best = ref (-1) and best_cost = ref max_int in
+        Mvl.Graph.iter_neighbors g u (fun v ->
+            if dist.(v) = dist.(u) - 1 then begin
+              let c = edge_cost u v in
+              if c < !best_cost || (c = !best_cost && (!best < 0 || v < !best))
+              then begin
+                best_cost := c;
+                best := v
+              end
+            end);
+        !best
       end)
-    sample
+
+let small_graphs =
+  lazy
+    (Array.of_list
+       (List.map (fun f -> f.Mvl.Families.graph) (Mvl.Registry.all_small ())))
+
+(* random asymmetric costs in [-2, 3] give many ties, negative and zero
+   costs included; [None] is [create] with no [edge_cost] *)
+let prop_routing_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"routing tables match the closure/Queue reference"
+    QCheck.(pair (int_bound 10_000) (option (int_bound 1_000_000)))
+    (fun (which, seed) ->
+      let graphs = Lazy.force small_graphs in
+      let g = graphs.(which mod Array.length graphs) in
+      let edge_cost =
+        Option.map (fun seed u v -> (Hashtbl.hash (seed, u, v) mod 6) - 2) seed
+      in
+      let t = Mvl.Routing_table.create ?edge_cost g in
+      let reference =
+        reference_table
+          ~edge_cost:(Option.value edge_cost ~default:(fun _ _ -> 0))
+          g
+      in
+      for dest = 0 to Mvl.Graph.n g - 1 do
+        if Mvl.Routing_table.build t dest <> reference dest then
+          QCheck.Test.fail_reportf "graph %d, table to %d differs" which dest
+      done;
+      true)
+
+(* [link_latency_of_layout] from two domains on one layout: the layout
+   used to memoize its wire view in a [Lazy.t], and the domain that
+   lost the race to force it raised [Lazy.Undefined] *)
+let test_layout_latency_two_domains () =
+  let lay = (Mvl.Families.hypercube 10).Mvl.Families.layout ~layers:4 in
+  let g = Mvl.Layout.graph lay in
+  let latencies () =
+    let link = Mvl.Network_sim.link_latency_of_layout lay in
+    Array.map (fun (u, v) -> link u v) (Mvl.Graph.edges g)
+  in
+  let a = Domain.spawn latencies and b = Domain.spawn latencies in
+  let la = Domain.join a and lb = Domain.join b in
+  Alcotest.(check (array int)) "same latencies" la lb;
+  Alcotest.(check int) "one per edge" (Mvl.Graph.m g) (Array.length la)
 
 let test_traffic_destinations () =
   let n = 64 in
@@ -563,6 +663,8 @@ let suite =
       test_golden_hypercube_saturated;
     Alcotest.test_case "golden: hypercube:8 layout latencies" `Quick
       test_golden_layout_latencies;
+    Alcotest.test_case "golden: clamped latencies" `Quick
+      test_golden_clamped_latencies;
     Alcotest.test_case "zero horizon runs no cycle" `Quick test_zero_horizon;
     Alcotest.test_case "traffic patterns" `Quick test_traffic_patterns;
     Alcotest.test_case "bit reversal involution" `Quick
@@ -588,6 +690,9 @@ let suite =
       test_sharded_matches_serial;
     Alcotest.test_case "routing table is domain-safe" `Quick
       test_routing_table_domain_safe;
+    QCheck_alcotest.to_alcotest prop_routing_matches_reference;
+    Alcotest.test_case "layout latencies from two domains" `Quick
+      test_layout_latency_two_domains;
     Alcotest.test_case "traffic destination sets" `Quick
       test_traffic_destinations;
     Alcotest.test_case "histogram shard merge" `Quick test_histogram_merge;
