@@ -41,7 +41,8 @@ lint:
 # and a CLI smoke pass (list + one validated layout + a malformed spec
 # that must fail + malformed wormhole fabrics that must exit 2 + the
 # --json/bench-emit telemetry surfaces, which self-validate + --jobs N
-# vs --jobs 1 parity of sim and wormhole).  Every output goes to an
+# vs --jobs 1 parity of the sweeps, sim and wormhole + the default
+# worker count of a process pinned to one CPU).  Every output goes to an
 # untracked scratch file, so a run leaves the tracked tree as it was.
 check: lint
 	dune build @all
@@ -61,19 +62,19 @@ check: lint
 	dune exec bench/main.exe -- emit --jobs 1 --stable -o BENCH_jobs1.json > /dev/null
 	dune exec bench/main.exe -- emit --jobs 4 --stable -o BENCH_jobs2.json > /dev/null
 	cmp BENCH_jobs1.json BENCH_jobs2.json
-	MVL_FORCE_FORK=1 dune exec bench/main.exe -- emit --jobs 4 --stable -o BENCH_fork.json > /dev/null
-	cmp BENCH_jobs1.json BENCH_fork.json
-	rm -f BENCH_jobs1.json BENCH_jobs2.json BENCH_fork.json
+	rm -f BENCH_jobs1.json BENCH_jobs2.json
+	@if command -v taskset > /dev/null; then \
+		taskset -c 0 dune exec bin/mvl_cli.exe -- sweep hypercube:4 -l 2,4,8 --json | grep -q '"workers": 1,' \
+		|| { echo "mvl sweep pinned to one CPU must default to one worker"; exit 1; }; \
+	fi
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.05 --json | grep -q '"schema": "mvl.sim.run/1"'
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 1 --stable --json > SIM_jobs1.json
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 4 --stable --json > SIM_jobs2.json
 	cmp SIM_jobs1.json SIM_jobs2.json
-	MVL_FORCE_FORK=1 dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.25 --jobs 4 --stable --json > SIM_fork.json
-	cmp SIM_jobs1.json SIM_fork.json
 	dune exec bin/mvl_cli.exe -- sim hypercube:8 -l 4 --load 0.3 --jobs 1 --stable --json > SIM_jobs1.json
 	dune exec bin/mvl_cli.exe -- sim hypercube:8 -l 4 --load 0.3 --jobs 3 --stable --json > SIM_jobs3.json
 	cmp SIM_jobs1.json SIM_jobs3.json
-	rm -f SIM_jobs1.json SIM_jobs2.json SIM_jobs3.json SIM_fork.json
+	rm -f SIM_jobs1.json SIM_jobs2.json SIM_jobs3.json
 	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 1 > WH_jobs1.txt
 	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 4 > WH_jobs4.txt
 	cmp WH_jobs1.txt WH_jobs4.txt
@@ -88,9 +89,7 @@ check: lint
 	dune exec bench/main.exe -- throughput --quick --jobs 1 --stable -o BENCH_sim_jobs1.json > /dev/null
 	dune exec bench/main.exe -- throughput --quick --jobs 4 --stable -o BENCH_sim_jobs2.json > /dev/null
 	cmp BENCH_sim_jobs1.json BENCH_sim_jobs2.json
-	MVL_FORCE_FORK=1 dune exec bench/main.exe -- throughput --quick --jobs 4 --stable -o BENCH_sim_fork.json > /dev/null
-	cmp BENCH_sim_jobs1.json BENCH_sim_fork.json
-	rm -f BENCH_sim_quick.json BENCH_sim_jobs1.json BENCH_sim_jobs2.json BENCH_sim_fork.json
+	rm -f BENCH_sim_quick.json BENCH_sim_jobs1.json BENCH_sim_jobs2.json
 	dune exec bench/main.exe -- scale --quick --jobs 2 -o BENCH_layout_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.layout/1"' BENCH_layout_quick.json
 	grep -q '"layout_phases"' BENCH_layout_quick.json

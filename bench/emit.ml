@@ -7,15 +7,14 @@
    are written one per line, so regenerating the file yields reviewable
    diffs (only the "seconds" and cumulative "cache" numbers move).
 
-   `--jobs N` fans the (spec, L) grid out over N workers of the active
-   Mvl.Parallel backend (work-stealing domains by default, forked
-   processes under MVL_FORCE_FORK=1); records land in the file in grid
-   order regardless of worker scheduling.  `--stable` strips the
-   volatile "seconds"/"cache" fields so two emits — any job counts,
-   either backend — are byte-identical; the CI determinism step diffs
-   multi-job runs against a --jobs 1 run.  Non-stable emits additionally
-   time the grid at 1/2/4/8 workers and record the scaling curve under
-   "jobs_scaling".
+   `--jobs N` fans the (spec, L) grid out over N work-stealing domains
+   (Mvl.Domain_pool) that share the one Pipeline layout cache; records
+   land in the file in grid order regardless of worker scheduling.
+   `--stable` strips the volatile "seconds"/"cache" fields so two
+   emits at any job counts are byte-identical; the CI determinism step
+   diffs multi-job runs against a --jobs 1 run.  Non-stable emits
+   additionally time the grid at 1/2/4/8 workers and record the scaling
+   curve under "jobs_scaling".
 
    The output file is written to a temporary name in the same directory
    and renamed into place, so a crash or kill mid-run never leaves a
@@ -48,19 +47,29 @@ let record (spec, layers) =
           ("error", Mvl.Telemetry.String msg);
         ]
 
+let map_grid ?jobs g =
+  let rs, pool =
+    Mvl.Domain_pool.map ?domains:jobs ~f:record (Array.of_list g)
+  in
+  (Array.to_list rs, pool.Mvl.Domain_pool.domains)
+
+(* the grid's records and worker count, and the cache counters of the
+   run — every domain shares the one cache, so its counters, read
+   before anything resets them, are the totals over all workers *)
 let records ?jobs ~stable () =
   Mvl.Pipeline.cache_reset ();
-  let rs, stats = Mvl.Parallel.map ?jobs ~f:record (grid ()) in
+  let rs, workers = map_grid ?jobs (grid ()) in
+  let cache = Mvl.Pipeline.cache_stats () in
   let rs = if stable then List.map Mvl.Telemetry.strip_volatile rs else rs in
-  (rs, stats)
+  (rs, workers, cache)
 
-(* wall-time the whole grid at 1/2/4/8 workers on the active backend —
-   the runtime's scaling signature, recorded alongside the per-record
-   timings.  Each measurement starts from a cold layout cache so every
-   point does the same work; speedup is against the 1-worker run of the
-   same process, efficiency is speedup/workers.  On a machine with
-   fewer cores than workers the extra points measure oversubscription,
-   not speedup — readers should mind [cpu_count]. *)
+(* wall-time the whole grid at 1/2/4/8 workers — the pool's scaling
+   signature, recorded alongside the per-record timings.  Each
+   measurement starts from a cold layout cache so every point does the
+   same work; speedup is against the 1-worker run of the same process,
+   efficiency is speedup/workers.  On a machine with fewer cores than
+   workers the extra points measure oversubscription, not speedup —
+   readers should mind [cpu_count]. *)
 let scaling_points = [ 1; 2; 4; 8 ]
 
 let measure_scaling () =
@@ -68,7 +77,7 @@ let measure_scaling () =
   let time_run jobs =
     Mvl.Pipeline.cache_reset ();
     let t0 = Unix.gettimeofday () in
-    let _rs, _stats = Mvl.Parallel.map ~jobs ~f:record g in
+    ignore (map_grid ~jobs g);
     Unix.gettimeofday () -. t0
   in
   match scaling_points with
@@ -88,14 +97,13 @@ let measure_scaling () =
       in
       Mvl.Telemetry.Obj
         [
-          ( "backend",
-            Mvl.Telemetry.String
-              (Mvl.Parallel.backend_name (Mvl.Parallel.default_backend ())) );
-          ("cpu_count", Mvl.Telemetry.Int (Mvl.Parallel.cpu_count ()));
+          ("backend", Mvl.Telemetry.String "domains");
+          ( "cpu_count",
+            Mvl.Telemetry.Int (Domain.recommended_domain_count ()) );
           ("points", Mvl.Telemetry.List (List.map point scaling_points));
         ]
 
-let write ?stats ?scaling path records =
+let write ?cache ?scaling path records =
   let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
   Fun.protect
     ~finally:(fun () -> if Sys.file_exists tmp then Sys.remove tmp)
@@ -106,11 +114,11 @@ let write ?stats ?scaling path records =
         (Mvl.Telemetry.to_string
            (Mvl.Telemetry.List
               (List.map (fun l -> Mvl.Telemetry.Int l) layer_sweep)));
-      (match stats with
+      (match cache with
       | None -> ()
-      | Some (s : Mvl.Parallel.stats) ->
+      | Some (c : Mvl.Pipeline.cache_stats) ->
           Printf.fprintf oc "  \"cache\": {\"hits\": %d, \"misses\": %d},\n"
-            s.Mvl.Parallel.hits s.Mvl.Parallel.misses);
+            c.Mvl.Pipeline.hits c.Mvl.Pipeline.misses);
       (match scaling with
       | None -> ()
       | Some json ->
@@ -149,12 +157,12 @@ let read_back path expected_records =
           exit 1)
 
 let run ?(path = default_path) ?jobs ?(stable = false) () =
-  let rs, stats = records ?jobs ~stable () in
-  (* the aggregated worker counters and the scaling timings are
-     volatile (scheduling, machine load), so the --stable form omits
-     both — that's what keeps two stable emits byte-identical *)
+  let rs, workers, cache = records ?jobs ~stable () in
+  (* the cache counters and the scaling timings are volatile
+     (scheduling, machine load), so the --stable form omits both —
+     that's what keeps two stable emits byte-identical *)
   let scaling = if stable then None else Some (measure_scaling ()) in
-  write ?stats:(if stable then None else Some stats) ?scaling path rs;
+  write ?cache:(if stable then None else Some cache) ?scaling path rs;
   read_back path (List.length rs);
   let errors =
     List.filter
@@ -173,8 +181,8 @@ let run ?(path = default_path) ?jobs ?(stable = false) () =
     path (List.length rs)
     (List.length (Mvl.Registry.all ()))
     (String.concat "," (List.map string_of_int layer_sweep))
-    stats.Mvl.Parallel.workers stats.Mvl.Parallel.hits
-    stats.Mvl.Parallel.misses (List.length errors);
+    workers cache.Mvl.Pipeline.hits cache.Mvl.Pipeline.misses
+    (List.length errors);
   List.iter
     (fun r ->
       match Mvl.Telemetry.member "spec" r with

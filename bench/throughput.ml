@@ -7,13 +7,13 @@
    engine is deterministic for a fixed seed, so the simulation
    statistics are identical across repeats and only the rate moves.
 
-   [--jobs N] shards the engine itself across N domains
+   [--jobs N] with N > 1 shards the engine itself across N domains
    (Network_sim.run ?jobs); the grid then runs one point at a time so
    per-point wall timings measure the sharded engine alone rather than
-   co-scheduled grid neighbors.  Under MVL_FORCE_FORK=1 the engine
-   refuses domains, so --jobs falls back to the pre-domain meaning —
-   fork-pool fan-out of the grid — and the statistics are unchanged
-   either way.
+   co-scheduled grid neighbors.  Without [--jobs] the grid points fan
+   out over Mvl.Domain_pool instead, and [--jobs 1] runs them one at a
+   time in the calling domain; the statistics are the same in all
+   three cases.
 
    Record shape: the deterministic measurement (Telemetry.of_sim) next
    to a volatile "seconds" object holding {wall, cycles_per_sec,
@@ -177,10 +177,8 @@ let measure_scaling p ~pattern =
   in
   Mvl.Telemetry.Obj
     [
-      ( "backend",
-        Mvl.Telemetry.String
-          (if Mvl.Sim_shard.env_force_fork () then "serial" else "domains") );
-      ("cpu_count", Mvl.Telemetry.Int (Mvl.Parallel.cpu_count ()));
+      ("backend", Mvl.Telemetry.String "domains");
+      ("cpu_count", Mvl.Telemetry.Int (Domain.recommended_domain_count ()));
       ("spec", Mvl.Telemetry.String spec_str);
       ("offered_load", Mvl.Telemetry.Float load);
       ("points", Mvl.Telemetry.List (List.map point_json scaling_points));
@@ -242,28 +240,29 @@ let run ?(path = default_path) ?jobs ?(quick = false) ?(stable = false)
     ?(pattern = Mvl.Traffic.Uniform) () =
   let p = if quick then quick_profile else full_profile in
   let points = grid p in
-  (* --jobs shards the engine (domains), and the grid then runs one
-     point at a time so wall timings stay honest; under
-     MVL_FORCE_FORK=1 the engine refuses domains, so the same flag
-     degrades to the legacy meaning — fork fan-out of the grid. *)
+  (* --jobs > 1 shards the engine, and the grid then runs one point at
+     a time so wall timings stay honest; otherwise the grid fans out
+     over the pool *)
   let engine_jobs, grid_jobs =
     match jobs with
-    | Some j when j > 1 && not (Mvl.Sim_shard.env_force_fork ()) ->
-        (Some j, Some 1)
+    | Some j when j > 1 -> (Some j, Some 1)
     | _ -> (None, jobs)
   in
-  let rs, stats =
-    Mvl.Parallel.map ?jobs:grid_jobs
+  let rs, pool =
+    Mvl.Domain_pool.map ?domains:grid_jobs
       ~f:(record p ~pattern ?jobs:engine_jobs)
-      points
+      (Array.of_list points)
   in
+  let rs = Array.to_list rs in
   let rs = if stable then List.map Mvl.Telemetry.strip_volatile rs else rs in
   let scaling = if stable then None else Some (measure_scaling p ~pattern) in
   write path p ?scaling rs;
   read_back path (List.length rs);
   Printf.printf "wrote %s: %d records (%d specs x %d loads), %d worker(s)\n"
     path (List.length rs) (List.length p.specs) (List.length p.loads)
-    (match engine_jobs with Some j -> j | None -> stats.Mvl.Parallel.workers);
+    (match engine_jobs with
+    | Some j -> j
+    | None -> pool.Mvl.Domain_pool.domains);
   if not stable then (
     let int_of k o =
       match Option.bind o (Mvl.Telemetry.member k) with

@@ -68,17 +68,17 @@ let jobs_arg =
         ~doc:
           "Fan independent runs out over $(docv) workers — a \
            work-stealing pool of OCaml domains sharing one layout \
-           cache, or forked processes when MVL_FORCE_FORK=1 is set \
-           (default: every processor visible to this process; 1 forces \
-           the sequential path).  Output order and content are \
-           independent of $(docv) and of the backend.")
+           cache (default: every processor this process may run on; 1 \
+           forces the sequential path).  Output order and content are \
+           independent of $(docv).")
 
 let print_json j = print_endline (Mvl.Telemetry.to_string ~pretty:true j)
 
 (* --- merged-record accessors --------------------------------------------
-   Parallel runs come back as Telemetry records (that is the wire
-   format), so the human renderings below read fields back out of the
-   merged records rather than out of in-process Pipeline.t values. *)
+   Sweep runs come back as Telemetry records (the same records --json
+   prints, and what a --connect daemon replies with), so the human
+   renderings below read fields back out of the merged records rather
+   than out of in-process Pipeline.t values. *)
 
 let jint key j =
   match Mvl.Telemetry.member key j with
@@ -114,13 +114,22 @@ let die_on_record_errors records =
       exit 2
   | None -> ()
 
-let aggregated_cache (stats : Mvl.Parallel.stats) =
-  Mvl.Telemetry.Obj
-    [
-      ("workers", Mvl.Telemetry.Int stats.Mvl.Parallel.workers);
-      ("hits", Mvl.Telemetry.Int stats.Mvl.Parallel.hits);
-      ("misses", Mvl.Telemetry.Int stats.Mvl.Parallel.misses);
-    ]
+(* [List.map f xs] over up to [jobs] domains, in input order, plus the
+   sweep's "cache" object.  Every domain shares the one Pipeline cache
+   and this process started with its counters at zero, so they hold
+   the sweep's totals. *)
+let sweep_map ?jobs ~f xs =
+  let records, pool =
+    Mvl.Domain_pool.map ?domains:jobs ~f (Array.of_list xs)
+  in
+  let cache = Mvl.Pipeline.cache_stats () in
+  ( Array.to_list records,
+    Mvl.Telemetry.Obj
+      [
+        ("workers", Mvl.Telemetry.Int pool.Mvl.Domain_pool.domains);
+        ("hits", Mvl.Telemetry.Int cache.Mvl.Pipeline.hits);
+        ("misses", Mvl.Telemetry.Int cache.Mvl.Pipeline.misses);
+      ] )
 
 (* Gc + peak-RSS snapshot for --mem-stats.  VmHWM comes from
    /proc/self/status and reads 0 where /proc is unavailable. *)
@@ -373,8 +382,8 @@ let sweep_cmd =
             | Ok r -> Mvl.Pipeline.to_json r
             | Error msg -> error_record layers msg
           in
-          let records, stats = Mvl.Parallel.map ?jobs ~f layer_list in
-          (records, Some (aggregated_cache stats))
+          let records, cache = sweep_map ?jobs ~f layer_list in
+          (records, Some cache)
     in
     die_on_record_errors records;
     if json then
@@ -505,7 +514,7 @@ let validate_cmd =
                   ("validation", Mvl.Telemetry.of_check res);
                 ]
         in
-        let records, stats = Mvl.Parallel.map ?jobs ~f specs in
+        let records, cache = sweep_map ?jobs ~f specs in
         die_on_record_errors records;
         let count r =
           Option.value ~default:0
@@ -518,7 +527,7 @@ let validate_cmd =
                  ("schema", Mvl.Telemetry.String "mvl.validate.multi/1");
                  ("layers", Mvl.Telemetry.Int layers);
                  ("runs", Mvl.Telemetry.List records);
-                 ("cache", aggregated_cache stats);
+                 ("cache", cache);
                ])
         else
           List.iter
@@ -635,9 +644,8 @@ let sim_cmd =
           ~doc:
             "Shard the simulated routers over $(docv) domains advancing \
              in barrier-phased lockstep.  Statistics are byte-identical \
-             for every $(docv) (absent, 1, or under MVL_FORCE_FORK=1 \
-             one shard runs in the calling domain and no domain is \
-             spawned).")
+             for every $(docv) (absent or 1, one shard runs in the \
+             calling domain and no domain is spawned).")
   in
   let stable_arg =
     Arg.(

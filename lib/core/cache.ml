@@ -60,7 +60,6 @@ let create ?(max_bytes = max_int) ~capacity () =
   }
 
 let capacity t = t.capacity
-let max_bytes t = t.max_bytes
 let length t = Hashtbl.length t.tbl
 let resident_bytes t = t.bytes
 let clock t = t.clock
@@ -172,10 +171,6 @@ let set_capacity t cap =
   t.capacity <- max 0 cap;
   ignore (enforce t)
 
-let set_max_bytes t b =
-  t.max_bytes <- max 0 b;
-  ignore (enforce t)
-
 let stats t : stats =
   {
     hits = t.hits;
@@ -184,13 +179,6 @@ let stats t : stats =
     rejections = t.rejections;
     evictions = t.evictions;
   }
-
-let reset_stats t =
-  t.hits <- 0;
-  t.misses <- 0;
-  t.admissions <- 0;
-  t.rejections <- 0;
-  t.evictions <- 0
 
 let clear t =
   Hashtbl.reset t.tbl;

@@ -49,13 +49,9 @@ val set_capacity : ('k, 'v) t -> int -> unit
 (** Clamped at 0.  Shrinking evicts minimum-priority entries
     immediately. *)
 
-val max_bytes : ('k, 'v) t -> int
-val set_max_bytes : ('k, 'v) t -> int -> unit
-(** Clamped at 0.  Shrinking evicts immediately. *)
-
 val length : ('k, 'v) t -> int
 val resident_bytes : ('k, 'v) t -> int
-(** Sum of the resident entries' sizes ([<= max_bytes t]). *)
+(** Sum of the resident entries' sizes (never above [max_bytes]). *)
 
 val mem : ('k, 'v) t -> 'k -> bool
 (** Residence test; does not touch frequency or the counters. *)
@@ -87,7 +83,6 @@ val clock : ('k, 'v) t -> float
     rejected entry (0 initially, monotonically non-decreasing). *)
 
 val stats : ('k, 'v) t -> stats
-val reset_stats : ('k, 'v) t -> unit
 
 val clear : ('k, 'v) t -> unit
 (** Drop every entry (bounds and stats are kept). *)

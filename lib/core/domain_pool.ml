@@ -1,10 +1,10 @@
 (* Work-stealing domain pool over a fixed task set.
 
    One mutex-protected deque of task indices per worker: the owner pops
-   the front (ascending index order, matching the fork pool's static
-   round-robin partition), thieves pop the back.  No task creates new
-   tasks, so a worker that scans every deque and finds nothing can
-   retire — there is no blocking hand-off to get wrong. *)
+   the front (ascending index order over a static round-robin
+   partition), thieves pop the back.  No task creates new tasks, so a
+   worker that scans every deque and finds nothing can retire — there
+   is no blocking hand-off to get wrong. *)
 
 type deque = {
   ids : int array;        (* task indices dealt to this worker *)
@@ -61,9 +61,8 @@ let worker_loop deques w run steals =
 
 type stats = { domains : int; steals : int }
 
-(* the OCaml 5 runtime permanently refuses Unix.fork once any domain
-   has been spawned in the process, so record that we did — the fork
-   backend's availability probe reads this *)
+(* set once any call spawns a domain — lets tests check that a
+   one-worker call stays in the calling domain *)
 let ever_spawned = Atomic.make false
 let spawned_domains () = Atomic.get ever_spawned
 

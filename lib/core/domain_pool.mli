@@ -7,13 +7,13 @@
 
     Deque protocol: task indices are dealt round-robin into one deque
     per worker (worker [w] initially owns indices [w, w+D, w+2D, ...],
-    the same static partition the fork pool used, so ownership is
-    reproducible); an owner pops from the {e front} of its own deque
-    (ascending index order) and an idle worker steals from the {e back}
-    of a victim's deque (the indices the owner would reach last),
-    scanning victims round-robin from its own successor.  Each deque is
-    guarded by its own mutex — tasks here are whole pipeline runs or
-    verification shards, so the per-task locking cost is noise.
+    a static partition, so ownership is reproducible); an owner pops
+    from the {e front} of its own deque (ascending index order) and an
+    idle worker steals from the {e back} of a victim's deque (the
+    indices the owner would reach last), scanning victims round-robin
+    from its own successor.  Each deque is guarded by its own mutex —
+    tasks here are whole pipeline runs or verification shards, so the
+    per-task locking cost is noise.
 
     Results are written into a shared slot array, one slot per index,
     each written by exactly one worker; [Domain.join] publishes every
@@ -61,9 +61,9 @@ val gang : workers:int -> ?abort:(unit -> unit) -> (int -> unit) -> unit
     re-raised with its backtrace. *)
 
 val spawned_domains : unit -> bool
-(** [true] once any {!map} call has spawned a domain in this process.
-    The OCaml 5 runtime permanently refuses [Unix.fork] after that
-    point, so the fork backend consults this before forking. *)
+(** [true] once any {!map} or {!gang} call has spawned a domain in
+    this process — how tests check that a one-worker call ran in the
+    calling domain. *)
 
 val split_seed : seed:int -> index:int -> int
 (** A deterministic per-task seed: a splitmix64-style finalizer over

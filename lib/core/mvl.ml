@@ -90,7 +90,6 @@ module Families = Families
 module Registry = Registry
 module Pipeline = Pipeline
 module Telemetry = Telemetry
-module Parallel = Parallel
 module Domain_pool = Mvl_pool.Domain_pool
 module Barrier = Mvl_pool.Barrier
 module Cache = Cache

@@ -26,8 +26,8 @@ type validity = Valid | Invalid | Not_validated
    out through the clock term.  A family counts as size 1, so its
    cache is bounded by the entry count alone.
 
-   The caches are shared across domains (the Domain_pool backend of
-   Parallel.map and the serve daemon's workers run pipeline jobs
+   The caches are shared across domains (the sweeps' Domain_pool
+   workers and the serve daemon's workers run pipeline jobs
    concurrently in one process), so every table access goes through
    [cache_lock] and the counters are atomics — stats readers must use
    the accessors below, never raw table state.
@@ -78,8 +78,6 @@ let cache_stats () =
 let cache_size () = locked (fun () -> Cache.length layout_cache)
 let cache_capacity () = locked (fun () -> Cache.capacity layout_cache)
 let cache_resident_bytes () = locked (fun () -> Cache.resident_bytes layout_cache)
-let cache_max_bytes () = locked (fun () -> Cache.max_bytes layout_cache)
-let cache_policy_stats () = locked (fun () -> Cache.stats layout_cache)
 
 let set_cache_capacity cap =
   (* shrinking evicts immediately so the bound holds without waiting
@@ -88,13 +86,10 @@ let set_cache_capacity cap =
       Cache.set_capacity layout_cache cap;
       Cache.set_capacity family_cache cap)
 
-let set_cache_bytes b = locked (fun () -> Cache.set_max_bytes layout_cache b)
-
 let cache_reset () =
   locked (fun () ->
       Cache.clear family_cache;
-      Cache.clear layout_cache;
-      Cache.reset_stats layout_cache);
+      Cache.clear layout_cache);
   Atomic.set hits 0;
   Atomic.set misses 0;
   Atomic.set coalesced 0

@@ -19,10 +19,10 @@
 
     The cache is domain-safe: table accesses are serialized behind one
     mutex (held only for the lookup or insertion itself, never while a
-    layout is being built) and the counters are atomics, so
-    {!Parallel.map}'s domain backend and the serve daemon share one
-    cache across all their workers and a resident layout is handed out
-    by reference.  Concurrent misses on the {e same} key are
+    layout is being built) and the counters are atomics, so the
+    sweeps' {!Mvl_pool.Domain_pool} workers and the serve daemon
+    share one cache across all their workers and a resident layout is
+    handed out by reference.  Concurrent misses on the {e same} key are
     single-flighted: the first misser builds, the rest block on a
     per-key condition and receive the finished layout (counted in
     [coalesced], with [from_cache = true]); misses on distinct keys
@@ -139,18 +139,6 @@ val set_cache_capacity : int -> unit
 val cache_resident_bytes : unit -> int
 (** Total {!Layout.resident_bytes} over the resident layouts. *)
 
-val cache_max_bytes : unit -> int
-val set_cache_bytes : int -> unit
-(** Byte budget for resident layouts (default effectively unbounded),
-    enforced together with the entry capacity; shrinking evicts
-    immediately. *)
-
-val cache_policy_stats : unit -> Cache.stats
-(** The layout cache's own policy counters (admissions, rejections,
-    evictions, and its internal hit/miss tallies — the latter also
-    count probes that went on to coalesce, so prefer {!cache_stats}
-    for request accounting). *)
-
 val cache_reset : unit -> unit
 (** Drop all cached layouts and families and zero the counters (the
-    capacity and byte-budget settings are kept). *)
+    capacity setting is kept). *)

@@ -26,7 +26,7 @@ val realize :
     [jobs > 1] shards wire emission across a {!Mvl_pool.Domain_pool},
     each worker streaming its wires into their precomputed fixed ranges
     of the final geometry columns — output is byte-identical at every
-    job count (degraded to serial under [MVL_FORCE_FORK]). *)
+    job count. *)
 
 val metrics : ?node_side:int -> Orthogonal.t -> layers:int -> Layout.metrics
 (** [metrics o ~layers] = [Layout.metrics (realize o ~layers)]. *)

@@ -22,14 +22,6 @@ type t = {
   col_tracks : int array;
 }
 
-(* mirror of Parallel.force_fork (same idiom as Sim_shard): under the
-   fork backend no domain may ever be spawned, so packing degrades to
-   the serial path *)
-let env_force_fork () =
-  match Sys.getenv_opt "MVL_FORCE_FORK" with
-  | Some ("1" | "true" | "yes") -> true
-  | _ -> false
-
 let create ?(jobs = 1) graph ~rows ~cols ~place =
   let t_place = Unix.gettimeofday () in
   let n = Graph.n graph in
@@ -119,10 +111,8 @@ let create ?(jobs = 1) graph ~rows ~cols ~place =
     done
   in
   let lines = rows + cols in
-  let jobs =
-    if jobs <= 1 || env_force_fork () then 1 else min jobs (max 1 lines)
-  in
-  if jobs = 1 then pack_range (Track_assign.scratch ()) 0 lines
+  let jobs = min jobs lines in
+  if jobs <= 1 then pack_range (Track_assign.scratch ()) 0 lines
   else begin
     let workers = Array.init jobs (fun w -> w) in
     let _, _stats =
@@ -188,32 +178,3 @@ let col_edges t c =
         b = t.col_b.(k);
         track = t.col_track.(k);
       })
-
-let total_row_tracks t = Array.fold_left ( + ) 0 t.row_tracks
-let total_col_tracks t = Array.fold_left ( + ) 0 t.col_tracks
-
-let count_degrees t ~of_rows =
-  let n = Graph.n t.graph in
-  let deg = Array.make n 0 in
-  if of_rows then
-    for r = 0 to t.rows - 1 do
-      for k = t.row_off.(r) to t.row_off.(r + 1) - 1 do
-        let u = t.node_at.(r).(t.row_a.(k))
-        and v = t.node_at.(r).(t.row_b.(k)) in
-        deg.(u) <- deg.(u) + 1;
-        deg.(v) <- deg.(v) + 1
-      done
-    done
-  else
-    for c = 0 to t.cols - 1 do
-      for k = t.col_off.(c) to t.col_off.(c + 1) - 1 do
-        let u = t.node_at.(t.col_a.(k)).(c)
-        and v = t.node_at.(t.col_b.(k)).(c) in
-        deg.(u) <- deg.(u) + 1;
-        deg.(v) <- deg.(v) + 1
-      done
-    done;
-  Array.fold_left max 0 deg
-
-let max_row_degree t = count_degrees t ~of_rows:true
-let max_col_degree t = count_degrees t ~of_rows:false

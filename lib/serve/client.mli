@@ -11,13 +11,11 @@ type t
 val connect : string -> (t, string) result
 val close : t -> unit
 
-val send_line : t -> string -> unit
-(** Writes one request line (newline appended).  With {!recv_line}
-    this is the raw pipelined interface the serving bench drives. *)
-
 val send_raw : t -> string -> unit
 (** Writes bytes exactly as given — a pipelined sender batches many
-    newline-terminated request lines into one write. *)
+    newline-terminated request lines into one write.  With
+    {!recv_line} this is the raw pipelined interface the serving bench
+    drives. *)
 
 val recv_line : t -> (string, string) result
 (** Blocks for the next reply line (newline stripped); [Error] on EOF

@@ -67,10 +67,9 @@ val run :
     [jobs] shards the routers across that many domains (capped at the
     node count) advancing in barrier-phased lockstep; the result is
     byte-identical for every [jobs] value — same counts, percentiles
-    and histogram, enforced by the parity tests.  Omitted, [<= 1], or
-    under [MVL_FORCE_FORK=1] (domains would permanently disable the fork
-    backend) one shard runs in the calling domain and no domain is
-    spawned.  A zero horizon ([warmup + measure + drain = 0]) simulates
+    and histogram, enforced by the parity tests.  Omitted or [<= 1],
+    one shard runs in the calling domain and no domain is spawned.  A
+    zero horizon ([warmup + measure + drain = 0]) simulates
     no cycle. *)
 
 val link_latency_of_layout :

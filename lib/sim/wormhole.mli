@@ -79,9 +79,8 @@ val run :
 
     [jobs] shards the routers across that many domains (capped at the
     node count) in barrier-phased lockstep, byte-identical for every
-    value — see {!Network_sim.run}; omitted, [<= 1], or under
-    [MVL_FORCE_FORK=1] one shard runs in the calling domain and no
-    domain is spawned.  [link_latency u v] is called once per directed
+    value — see {!Network_sim.run}; omitted or [<= 1], one shard runs
+    in the calling domain and no domain is spawned.  [link_latency u v] is called once per directed
     edge, in the calling domain, before the first cycle; a value below
     1 counts as 1. *)
 

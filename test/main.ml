@@ -1,9 +1,8 @@
 let () =
   Alcotest.run "mvl"
     [
-      (* parallel runs first: its fork-backend cases need Unix.fork,
-         which the runtime disables for good once any later suite (or
-         this one) spawns a domain *)
+      (* parallel runs first: its one-shard case checks that no domain
+         has been spawned yet, which any later suite would break *)
       ("parallel", Test_parallel.suite);
       ("mixed_radix", Test_mixed_radix.suite);
       ("graph", Test_graph.suite);

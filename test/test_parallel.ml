@@ -1,9 +1,9 @@
-(* The parallel runtime: every backend's output must be byte-identical
-   to the sequential path (modulo the volatile timing/cache fields),
-   merged in input order, with cache counters aggregated, exceptions
-   surfacing with sequential semantics, work actually stolen under a
-   skewed load (domains), and a crashed worker costing only its own
-   unreported jobs (fork). *)
+(* The domain pool behind every sweep: its output must be
+   byte-identical to the sequential path at any worker count (modulo
+   the volatile timing/cache fields), merged in input order, with the
+   shared cache's counters holding the sweep's totals, exceptions
+   surfacing with sequential semantics, and work actually stolen under
+   a skewed load. *)
 open Mvl_core
 
 let stable json = Mvl.Telemetry.to_string (Mvl.Telemetry.strip_volatile json)
@@ -25,39 +25,26 @@ let record (spec, layers) =
   | Ok r -> Mvl.Pipeline.to_json r
   | Error msg -> Mvl.Telemetry.Obj [ ("error", Mvl.Telemetry.String msg) ]
 
-let test_parallel_matches_sequential () =
+(* one sweep over [sweep_points] from a cold cache, as the CLI runs it *)
+let sweep ~jobs =
   Mvl.Pipeline.cache_reset ();
-  let seq, _ = Mvl.Parallel.map ~jobs:1 ~f:record sweep_points in
-  Mvl.Pipeline.cache_reset ();
-  let par, _ = Mvl.Parallel.map ~jobs:4 ~f:record sweep_points in
-  Alcotest.(check int) "same record count" (List.length seq) (List.length par);
-  Alcotest.(check (list string)) "stable records byte-identical"
-    (List.map stable seq) (List.map stable par)
+  let rs, pool =
+    Mvl.Domain_pool.map ~domains:jobs ~f:record (Array.of_list sweep_points)
+  in
+  (Array.to_list rs, pool)
 
-let test_backends_agree () =
-  (* the determinism gate across the whole backend matrix: domains,
-     fork and sequential must produce byte-identical stable records.
-     The fork leg runs FIRST — once the domain backend has spawned a
-     domain, the runtime refuses Unix.fork for the process's lifetime *)
-  let on backend =
-    Mvl.Pipeline.cache_reset ();
-    let rs, _ = Mvl.Parallel.map ~backend ~jobs:3 ~f:record sweep_points in
-    List.map stable rs
-  in
-  let fork =
-    if Mvl.Parallel.available () then Some (on Mvl.Parallel.Fork) else None
-  in
-  let seq = on Mvl.Parallel.Sequential in
-  (match fork with
-  | Some fork ->
-      Alcotest.(check (list string)) "fork = sequential" seq fork
-  | None -> ());
-  Alcotest.(check (list string)) "domains = sequential" seq
-    (on Mvl.Parallel.Domains)
+let test_parallel_matches_sequential () =
+  let seq = List.map stable (fst (sweep ~jobs:1)) in
+  List.iter
+    (fun jobs ->
+      Alcotest.(check (list string))
+        (Printf.sprintf "stable records byte-identical at %d workers" jobs)
+        seq
+        (List.map stable (fst (sweep ~jobs))))
+    [ 3; 4 ]
 
 let test_merge_preserves_input_order () =
-  Mvl.Pipeline.cache_reset ();
-  let records, _ = Mvl.Parallel.map ~jobs:3 ~f:record sweep_points in
+  let records, _ = sweep ~jobs:3 in
   List.iter2
     (fun (spec, layers) r ->
       (match Mvl.Telemetry.member "spec" r with
@@ -71,30 +58,31 @@ let test_merge_preserves_input_order () =
     sweep_points records
 
 let test_worker_stats_aggregate () =
-  Mvl.Pipeline.cache_reset ();
-  let _, stats = Mvl.Parallel.map ~jobs:4 ~f:record sweep_points in
-  Alcotest.(check int) "workers used" 4 stats.Mvl.Parallel.workers;
+  (* every domain shares the one cache, so its counters after the map
+     are the totals over all workers *)
+  let _, pool = sweep ~jobs:4 in
+  let stats = Mvl.Pipeline.cache_stats () in
+  Alcotest.(check int) "workers used" 4 pool.Mvl.Domain_pool.domains;
   Alcotest.(check int) "every distinct (spec, L) constructed once"
     (List.length sweep_points)
-    stats.Mvl.Parallel.misses;
+    stats.Mvl.Pipeline.misses;
   Alcotest.(check int) "no hits across distinct points" 0
-    stats.Mvl.Parallel.hits;
-  Mvl.Pipeline.cache_reset ();
-  let _, seq_stats = Mvl.Parallel.map ~jobs:1 ~f:record sweep_points in
+    stats.Mvl.Pipeline.hits;
+  let _, seq_pool = sweep ~jobs:1 in
+  let seq_stats = Mvl.Pipeline.cache_stats () in
   Alcotest.(check int) "sequential path reports one worker" 1
-    seq_stats.Mvl.Parallel.workers;
+    seq_pool.Mvl.Domain_pool.domains;
   Alcotest.(check int) "sequential misses agree"
-    stats.Mvl.Parallel.misses seq_stats.Mvl.Parallel.misses
+    stats.Mvl.Pipeline.misses seq_stats.Mvl.Pipeline.misses
 
 let test_exception_propagates () =
-  (* default (domains) backend *)
   Alcotest.check_raises "f's exception surfaces in the caller"
     (Failure "boom")
     (fun () ->
       ignore
-        (Mvl.Parallel.map ~jobs:2
+        (Mvl.Domain_pool.map ~domains:2
            ~f:(fun _ -> failwith "boom")
-           [ 1; 2; 3; 4 ]))
+           [| 1; 2; 3; 4 |]))
 
 let test_exception_lowest_index () =
   (* several jobs fail; the one the sequential run would have hit
@@ -141,42 +129,24 @@ let test_split_seed () =
   Alcotest.(check bool) "seed-sensitive" true
     (a <> Mvl.Domain_pool.split_seed ~seed:43 ~index:0)
 
-let test_killed_worker_recovers () =
-  (* fork backend only: job 3's worker dies without reporting anything;
-     the parent must recompute every job the worker owned and still
-     return a full, input-ordered result list *)
-  let parent = Unix.getpid () in
-  let f i =
-    if i = 3 && Unix.getpid () <> parent then Unix._exit 9
-    else Mvl.Telemetry.Obj [ ("i", Mvl.Telemetry.Int i) ]
-  in
-  let inputs = [ 0; 1; 2; 3; 4; 5; 6; 7 ] in
-  let records, _ =
-    Mvl.Parallel.map ~backend:Mvl.Parallel.Fork ~jobs:4 ~f inputs
-  in
-  Alcotest.(check int) "all jobs answered" (List.length inputs)
-    (List.length records);
-  List.iter2
-    (fun i r ->
-      match Mvl.Telemetry.member "i" r with
-      | Some (Mvl.Telemetry.Int j) -> Alcotest.(check int) "in order" i j
-      | _ -> Alcotest.fail "malformed record")
-    inputs records
-
 let test_small_inputs () =
-  let f i = Mvl.Telemetry.Obj [ ("i", Mvl.Telemetry.Int i) ] in
-  let empty, _ = Mvl.Parallel.map ~jobs:4 ~f [] in
-  Alcotest.(check int) "empty input" 0 (List.length empty);
-  let one, stats = Mvl.Parallel.map ~jobs:4 ~f [ 42 ] in
-  Alcotest.(check int) "singleton input" 1 (List.length one);
+  let f i = i * 10 in
+  let empty, _ = Mvl.Domain_pool.map ~domains:4 ~f [||] in
+  Alcotest.(check int) "empty input" 0 (Array.length empty);
+  let one, stats = Mvl.Domain_pool.map ~domains:4 ~f [| 42 |] in
+  Alcotest.(check (array int)) "singleton input" [| 420 |] one;
   Alcotest.(check int) "never more workers than jobs" 1
-    stats.Mvl.Parallel.workers
+    stats.Mvl.Domain_pool.domains
 
 let test_default_jobs_bounds () =
-  let d = Mvl.Parallel.default_jobs () in
-  Alcotest.(check bool) "at least one" true (d >= 1);
-  Alcotest.(check int) "uncapped: tracks the visible processor count"
-    (Mvl.Parallel.cpu_count ()) d
+  (* what every --jobs flag defaults to: one worker per processor this
+     process may run on (its affinity mask, so a pinned process gets
+     1), never more workers than items *)
+  let items = Array.init 8 Fun.id in
+  let _, stats = Mvl.Domain_pool.map ~f:Fun.id items in
+  Alcotest.(check int) "min items (recommended domain count)"
+    (min (Array.length items) (Domain.recommended_domain_count ()))
+    stats.Mvl.Domain_pool.domains
 
 let test_barrier_basics () =
   Alcotest.check_raises "parties < 1 rejected"
@@ -242,9 +212,8 @@ let test_gang_failure_breaks_barrier () =
     (Atomic.get broken_seen)
 
 (* both simulators have one engine, which at one shard must run in the
-   calling domain: without [jobs], at [jobs = 1], and at any [jobs]
-   under MVL_FORCE_FORK=1, where a spawned domain would disable the fork
-   backend for good.  Runs first, before anything spawns a domain. *)
+   calling domain: without [jobs] and at [jobs = 1].  Runs first, before
+   anything spawns a domain. *)
 let test_one_shard_spawns_no_domain () =
   let ns =
     { Mvl.Network_sim.default_config with
@@ -259,24 +228,16 @@ let test_one_shard_spawns_no_domain () =
   in
   sims ();
   sims ~jobs:1 ();
-  Unix.putenv "MVL_FORCE_FORK" "1";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "MVL_FORCE_FORK" "")
-    (fun () -> sims ~jobs:4 ());
   Alcotest.(check bool) "no domain spawned" false
     (Mvl.Domain_pool.spawned_domains ())
 
-(* order matters: the fork-backend cases must run before anything that
-   spawns a domain — the runtime permanently disables Unix.fork after
-   the first Domain.spawn, and this suite is registered first in
-   main.ml for the same reason *)
+(* order matters: the one-shard case reads Domain_pool.spawned_domains,
+   so it must run before anything spawns a domain — it comes first
+   here, and this suite is registered first in main.ml *)
 let suite =
   [
     Alcotest.test_case "one-shard simulators spawn no domain" `Quick
       test_one_shard_spawns_no_domain;
-    Alcotest.test_case "killed fork worker recovers" `Quick
-      test_killed_worker_recovers;
-    Alcotest.test_case "all backends byte-identical" `Quick test_backends_agree;
     Alcotest.test_case "parallel matches sequential (stable form)" `Quick
       test_parallel_matches_sequential;
     Alcotest.test_case "merge preserves input order" `Quick
@@ -292,7 +253,6 @@ let suite =
     Alcotest.test_case "empty and singleton inputs" `Quick test_small_inputs;
     Alcotest.test_case "default job count bounds" `Quick
       test_default_jobs_bounds;
-    (* gang/barrier cases spawn domains — keep them after the fork ones *)
     Alcotest.test_case "barrier basics" `Quick test_barrier_basics;
     Alcotest.test_case "gang lockstep phases" `Quick test_gang_lockstep;
     Alcotest.test_case "gang failure breaks barrier" `Quick
