@@ -74,6 +74,9 @@ check: lint
 	dune exec bin/mvl_cli.exe -- sim hypercube:8 -l 4 --load 0.3 --jobs 1 --stable --json > SIM_jobs1.json
 	dune exec bin/mvl_cli.exe -- sim hypercube:8 -l 4 --load 0.3 --jobs 3 --stable --json > SIM_jobs3.json
 	cmp SIM_jobs1.json SIM_jobs3.json
+	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.05 --pattern hotspot:3 --stable --json --jobs 1 > SIM_jobs1.json
+	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.05 --pattern hotspot:3 --stable --json --jobs 3 > SIM_jobs3.json
+	cmp SIM_jobs1.json SIM_jobs3.json
 	rm -f SIM_jobs1.json SIM_jobs2.json SIM_jobs3.json
 	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 1 > WH_jobs1.txt
 	dune exec bin/mvl_cli.exe -- wormhole hypercube:6 --load 0.05 --jobs 4 > WH_jobs4.txt

@@ -83,12 +83,16 @@ let link_latency_of_layout ?(units_per_cycle = 64) layout =
      old [q_front] (new arrivals land behind it and only become
      scannable once it empties).
    - Routing is a transposed table: [next_out.(u).(dest)], so one
-     router's scan stays inside a single row (the per-destination
-     arrays of {!Routing_table} would scatter it across as many arrays
-     as there are destinations in the queue).  Each cell packs the next
-     hop with the latency of the link to it, so a grant reads one word:
-     [link_latency] is resolved once per directed edge before cycle 0,
-     and no closure or hash table is consulted after that.
+     router's scan stays inside a single row (per-destination arrays
+     would scatter it across as many arrays as there are destinations
+     in the queue).  Each cell packs the next hop with the latency of
+     the link to it, so a grant reads one word: [link_latency] is
+     resolved once per directed edge before cycle 0, and no closure or
+     hash table is consulted after that.  {!Routing_table.sweep} builds
+     the columns of up to 62 destinations at once and hands over
+     (node, mask, slot) triples; the destination set ascends, so under
+     uniform traffic the writes of one sweep stay inside a 62-cell
+     window of each row.
    - The per-router grant set is a node-indexed scratch array versioned
      by a generation counter, replacing the per-router-per-cycle
      [Hashtbl.create 8].
@@ -152,14 +156,17 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs graph =
   let routing = Routing_table.create ~edge_cost:link_latency graph in
   let adj = Graph.adjacency graph in
   let lat = Array.map (fun c -> max 1 c) (Routing_table.costs routing) in
+  (* per directed edge, the routing cell of a hop over it: the next
+     node and the latency of the link to it, packed as
+     [(lat lsl dshift) lor next] *)
+  let hop_cell = Array.mapi (fun s l -> (l lsl dshift) lor adj.(s)) lat in
   let dests = Traffic.destinations config.traffic ~n_nodes:n in
   let n_dests = Array.length dests in
-  (* shared read-only routing matrix, transposed: cell
-     next_out.(u).(dest) packs the next hop and the latency of the link
-     to it as [(lat lsl dshift) lor next], -1 when there is none.  The
-     full destination set is known up front from the traffic pattern,
-     so shards pre-build disjoint column slices before cycle 0 (the
-     first barrier publishes them) *)
+  (* shared read-only routing matrix, transposed: next_out.(u).(dest)
+     is a [hop_cell], -1 when there is none.  The full destination set
+     is known up front from the traffic pattern, so shards pre-build
+     disjoint column slices before cycle 0 (the first barrier publishes
+     them) *)
   let next_out = Array.init n (fun _ -> Array.make n (-1)) in
   (* timing wheel sized from the slowest link, rounded up to a power of
      two so the slot computation is a mask *)
@@ -264,18 +271,24 @@ let run ?(config = default_config) ?(link_latency = fun _ _ -> 1) ?jobs graph =
     let cycle = ref 0 in
     let continue = ref (horizon > 0) in
     (* pre-build this shard's slice of the shared routing matrix:
-       disjoint (u, dest) cells per shard, published by the barrier;
-       one set of scratch arrays serves every destination *)
+       disjoint (u, dest) cells per shard, published by the barrier.
+       One sweep builds up to [Routing_table.width] destinations, and
+       one scratch serves them all *)
     let dlo = w * n_dests / shards and dhi = (w + 1) * n_dests / shards in
-    let dist = Array.make n 0 and bfs_queue = Array.make n 0 in
-    let slots = Array.make n 0 in
-    for i = dlo to dhi - 1 do
-      let dest = dests.(i) in
-      Routing_table.fill routing ~dist ~queue:bfs_queue ~slots dest;
-      for u = 0 to n - 1 do
-        let s = slots.(u) in
-        if s >= 0 then next_out.(u).(dest) <- (lat.(s) lsl dshift) lor adj.(s)
-      done
+    let scratch = Routing_table.scratch routing in
+    let pos = ref dlo in
+    while !pos < dhi do
+      let base = !pos in
+      let len = min Routing_table.width (dhi - base) in
+      Routing_table.sweep routing scratch dests ~pos:base ~len
+        ~emit:(fun u mask s ->
+          let row = next_out.(u) and cell = hop_cell.(s) in
+          let m = ref mask in
+          while !m <> 0 do
+            row.(dests.(base + Routing_table.lowest_bit !m)) <- cell;
+            m := !m land (!m - 1)
+          done);
+      pos := base + len
     done;
     Barrier.wait barrier;
     while !continue do
@@ -470,26 +483,61 @@ let zero_load_latency ?(samples = 64) ?(link_latency = fun _ _ -> 1) graph =
   let n = Graph.n graph in
   let routing = Routing_table.create ~edge_cost:link_latency graph in
   let cost = Routing_table.costs routing and adj = Graph.adjacency graph in
-  let dist = Array.make n 0 and queue = Array.make n 0 in
-  let slots = Array.make n 0 in
   let rng = Rng.create ~seed:7 in
-  let total = ref 0 and count = ref 0 in
+  (* the sampled pairs that travel, and their distinct destinations in
+     order of first draw *)
+  let samples = max 0 samples in
+  let src_of = Array.make samples 0 and dest_of = Array.make samples 0 in
+  let count = ref 0 in
+  let dests = Array.make samples 0 and n_dests = ref 0 in
+  let index = Array.make n (-1) in
   for _ = 1 to samples do
     let src = Rng.int rng ~bound:n in
     let dest = Rng.int rng ~bound:n in
     if src <> dest then begin
-      (* walk the routed path slot by slot, paying each link's clamped
-         latency *)
-      Routing_table.fill routing ~dist ~queue ~slots dest;
-      let at = ref src in
-      while !at <> dest do
-        let s = slots.(!at) in
-        if s < 0 then
-          invalid_arg "Network_sim.zero_load_latency: unreachable node";
-        total := !total + max 1 cost.(s);
-        at := adj.(s)
-      done;
-      count := !count + 1
+      if index.(dest) < 0 then begin
+        index.(dest) <- !n_dests;
+        dests.(!n_dests) <- dest;
+        incr n_dests
+      end;
+      src_of.(!count) <- src;
+      dest_of.(!count) <- dest;
+      incr count
     end
+  done;
+  (* route the pairs one sweep of destinations at a time (a sum of ints
+     does not depend on the order of the walks): slots.(i * n + u) is
+     u's next-hop slot towards the sweep's i-th destination *)
+  let scratch = Routing_table.scratch routing in
+  let slots = Array.make (min Routing_table.width !n_dests * n) (-1) in
+  let total = ref 0 in
+  let base = ref 0 in
+  while !base < !n_dests do
+    let pos = !base in
+    let len = min Routing_table.width (!n_dests - pos) in
+    Array.fill slots 0 (len * n) (-1);
+    Routing_table.sweep routing scratch dests ~pos ~len ~emit:(fun u mask s ->
+        let m = ref mask in
+        while !m <> 0 do
+          slots.((Routing_table.lowest_bit !m * n) + u) <- s;
+          m := !m land (!m - 1)
+        done);
+    for p = 0 to !count - 1 do
+      let dest = dest_of.(p) in
+      let i = index.(dest) - pos in
+      if i >= 0 && i < len then begin
+        (* walk the routed path slot by slot, paying each link's
+           clamped latency *)
+        let at = ref src_of.(p) in
+        while !at <> dest do
+          let s = slots.((i * n) + !at) in
+          if s < 0 then
+            invalid_arg "Network_sim.zero_load_latency: unreachable node";
+          total := !total + max 1 cost.(s);
+          at := adj.(s)
+        done
+      end
+    done;
+    base := pos + len
   done;
   if !count = 0 then 0.0 else float_of_int !total /. float_of_int !count

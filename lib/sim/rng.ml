@@ -1,127 +1,75 @@
-(* splitmix64, implemented on 32-bit halves held in native ints.  The
-   obvious Int64 transcription boxes every intermediate value on
-   non-flambda compilers, which made the generator the simulators'
-   single largest allocation source; the half-word form is pure unboxed
-   integer arithmetic.  The output stream is bit-identical to the Int64
-   version — the reference-equivalence test in the suite pins every
-   draw, and the golden-determinism tests pin the consumers. *)
+(* splitmix64 over an unboxed Int64 state.  The 64-bit state lives in
+   an 8-byte [Bytes.t], read and written with [Bytes.get/set_int64_ne];
+   [next] is inlined at each of its call sites, so ocamlopt keeps every
+   Int64 intermediate in a register and no draw allocates (a mutable
+   [int64] record field would box on every write).  The output stream
+   is bit-identical to the published algorithm — the
+   reference-equivalence test in the suite pins every draw, and the
+   golden-determinism tests pin the consumers. *)
 
 type t = {
-  mutable hi : int; (* high 32 bits of the state *)
-  mutable lo : int; (* low 32 bits *)
-  mutable zhi : int; (* halves of the last draw *)
-  mutable zlo : int;
-  (* memoized rejection threshold for [int] (bound 0 = empty) *)
+  state : Bytes.t; (* 8 bytes: the splitmix64 state, native-endian *)
+  (* memoized rejection count for [int]: (2^63) mod [memo_bound]
+     (bound 0 = empty) *)
   mutable memo_bound : int;
-  mutable memo_thi : int;
-  mutable memo_tlo : int;
+  mutable memo_excess : int;
 }
 
-let mask32 = 0xFFFFFFFF
-
 let create ~seed =
-  let s = Int64.of_int ((seed * 2) + 1) in
-  {
-    hi = Int64.to_int (Int64.logand (Int64.shift_right_logical s 32) 0xFFFFFFFFL);
-    lo = Int64.to_int (Int64.logand s 0xFFFFFFFFL);
-    zhi = 0;
-    zlo = 0;
-    memo_bound = 0;
-    memo_thi = 0;
-    memo_tlo = 0;
-  }
+  let state = Bytes.create 8 in
+  Bytes.set_int64_ne state 0 (Int64.of_int ((seed * 2) + 1));
+  { state; memo_bound = 0; memo_excess = 0 }
 
-(* One splitmix64 step; leaves the 64-bit draw in [t.zhi]/[t.zlo].
-   The two 64x64->low-64 multiplies are done in 16-bit limbs so no
-   intermediate product exceeds the native-int range. *)
-let next t =
-  (* state += 0x9E3779B97F4A7C15 *)
-  let lo = t.lo + 0x7F4A7C15 in
-  let hi = (t.hi + 0x9E3779B9 + (lo lsr 32)) land mask32 in
-  let lo = lo land mask32 in
-  t.hi <- hi;
-  t.lo <- lo;
-  (* z ^= z >>> 30 *)
-  let zlo = lo lxor (((lo lsr 30) lor (hi lsl 2)) land mask32) in
-  let zhi = hi lxor (hi lsr 30) in
-  (* z *= 0xBF58476D1CE4E5B9 *)
-  let a0 = zlo land 0xFFFF and a1 = zlo lsr 16 in
-  let a2 = zhi land 0xFFFF and a3 = zhi lsr 16 in
-  let r0 = a0 * 0xE5B9 in
-  let r1 = (r0 lsr 16) + (a1 * 0xE5B9) + (a0 * 0x1CE4) in
-  let r2 = (r1 lsr 16) + (a2 * 0xE5B9) + (a1 * 0x1CE4) + (a0 * 0x476D) in
-  let r3 =
-    (r2 lsr 16) + (a3 * 0xE5B9) + (a2 * 0x1CE4) + (a1 * 0x476D)
-    + (a0 * 0xBF58)
+(* One splitmix64 step: advances the state and returns the 64-bit
+   draw. *)
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_ne t.state 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t.state 0 s;
+  let z =
+    Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30))
+      0xBF58476D1CE4E5B9L
   in
-  let zlo = (r0 land 0xFFFF) lor ((r1 land 0xFFFF) lsl 16) in
-  let zhi = (r2 land 0xFFFF) lor ((r3 land 0xFFFF) lsl 16) in
-  (* z ^= z >>> 27 *)
-  let zlo = zlo lxor (((zlo lsr 27) lor (zhi lsl 5)) land mask32) in
-  let zhi = zhi lxor (zhi lsr 27) in
-  (* z *= 0x94D049BB133111EB *)
-  let a0 = zlo land 0xFFFF and a1 = zlo lsr 16 in
-  let a2 = zhi land 0xFFFF and a3 = zhi lsr 16 in
-  let r0 = a0 * 0x11EB in
-  let r1 = (r0 lsr 16) + (a1 * 0x11EB) + (a0 * 0x1331) in
-  let r2 = (r1 lsr 16) + (a2 * 0x11EB) + (a1 * 0x1331) + (a0 * 0x49BB) in
-  let r3 =
-    (r2 lsr 16) + (a3 * 0x11EB) + (a2 * 0x1331) + (a1 * 0x49BB)
-    + (a0 * 0x94D0)
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
+      0x94D049BB133111EBL
   in
-  let zlo = (r0 land 0xFFFF) lor ((r1 land 0xFFFF) lsl 16) in
-  let zhi = (r2 land 0xFFFF) lor ((r3 land 0xFFFF) lsl 16) in
-  (* z ^= z >>> 31 *)
-  t.zlo <- zlo lxor (((zlo lsr 31) lor (zhi lsl 1)) land mask32);
-  t.zhi <- zhi lxor (zhi lsr 31)
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Rejection sampling over the 63-bit draw: values above the largest
-   multiple of [bound] are redrawn, so every residue is hit by exactly
-   [2^63 / bound] raw values — the naive [rem] alone over-weights the
-   low residues by one part in [2^63 / bound].  For powers of two the
-   threshold is never exceeded and the stream matches the pre-fix one
-   draw for draw. *)
+(* Rejection sampling over the draw's low 63 bits: values above the
+   largest multiple of [bound] are redrawn, so every residue is hit by
+   exactly [2^63 / bound] raw values — the naive [rem] alone
+   over-weights the low residues by one part in [2^63 / bound].  For
+   powers of two the threshold is never exceeded and the stream matches
+   plain masking draw for draw. *)
 let int t ~bound =
   if bound < 1 then invalid_arg "Rng.int: bound < 1";
   if bound <> t.memo_bound then begin
     (* number of raw values rejected: (2^63) mod b, computed without
        overflowing as ((2^63 - 1) mod b + 1) mod b *)
     let b = Int64.of_int bound in
-    let excess = Int64.rem (Int64.add (Int64.rem Int64.max_int b) 1L) b in
-    let th = Int64.sub Int64.max_int excess in
-    t.memo_thi <- Int64.to_int (Int64.shift_right_logical th 32);
-    t.memo_tlo <- Int64.to_int (Int64.logand th 0xFFFFFFFFL);
+    t.memo_excess <-
+      Int64.to_int (Int64.rem (Int64.add (Int64.rem Int64.max_int b) 1L) b);
     t.memo_bound <- bound
   end;
-  let thi = t.memo_thi and tlo = t.memo_tlo in
-  let rec draw () =
-    next t;
-    let vhi = t.zhi land 0x7FFFFFFF in
-    let vlo = t.zlo in
-    if vhi < thi || (vhi = thi && vlo <= tlo) then
-      if bound land (bound - 1) = 0 && bound <= 0x100000000 then
-        (* power of two: the low bits are the residue *)
-        vlo land (bound - 1)
-      else if bound < 0x40000000 then
-        (* (vhi * 2^32 + vlo) mod bound without leaving native ints:
-           the partial product stays below bound * 2^32 < 2^62 *)
-        (((vhi mod bound) * (0x100000000 mod bound)) + (vlo mod bound))
-        mod bound
-      else
-        Int64.to_int
-          (Int64.rem
-             (Int64.logor
-                (Int64.shift_left (Int64.of_int vhi) 32)
-                (Int64.of_int vlo))
-             (Int64.of_int bound))
-    else draw ()
-  in
-  draw ()
+  let threshold = Int64.sub Int64.max_int (Int64.of_int t.memo_excess) in
+  let v = ref (Int64.logand (next t) Int64.max_int) in
+  while !v > threshold do
+    v := Int64.logand (next t) Int64.max_int
+  done;
+  if bound land (bound - 1) = 0 then
+    (* power of two: the low bits are the residue *)
+    Int64.to_int !v land (bound - 1)
+  else Int64.to_int (Int64.rem !v (Int64.of_int bound))
 
+(* top 53 bits of the draw, scaled into [0, 1) *)
 let float t =
-  next t;
-  (* top 53 bits of the draw *)
-  let bits = (t.zhi lsl 21) lor (t.zlo lsr 11) in
-  float_of_int bits /. 9007199254740992.0 (* 2^53 *)
+  float_of_int (Int64.to_int (Int64.shift_right_logical (next t) 11))
+  /. 9007199254740992.0 (* 2^53 *)
 
-let bool t ~p = float t < p
+(* [float t < p] with both sides scaled by 2^53: a power of two, so
+   both products are exact (a subnormal [p] scales to a normal number,
+   a huge one to infinity, NaN stays NaN) and the comparison is the
+   same, without the division *)
+let bool t ~p =
+  float_of_int (Int64.to_int (Int64.shift_right_logical (next t) 11))
+  < p *. 9007199254740992.0

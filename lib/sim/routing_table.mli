@@ -6,11 +6,13 @@
     id), so the routing is oblivious and reproducible.
 
     {!create} calls [edge_cost] once per directed edge and keeps the
-    answers in an int column aligned with {!Graph.adjacency}; building
-    a table reads that column and never calls the closure.  Nothing is
-    cached: each {!build} (and each {!path}) computes its table afresh,
-    and a [t] is immutable, so one [t] may be shared by any number of
-    domains. *)
+    answers in an int column aligned with {!Graph.adjacency}, along
+    with each row's slots in (cost, neighbour id) order; building a
+    table reads those columns and never calls the closure.  Every table
+    is built by {!sweep}, up to {!width} destinations per call.
+    Nothing is cached: each {!build} (and each {!path}) computes its
+    table afresh, and a [t] is immutable, so one [t] may be shared by
+    any number of domains. *)
 
 open Mvl_topology
 
@@ -26,18 +28,49 @@ val costs : t -> int array
     (Graph.adjacency g).(s)].  The table's own array: treat it as
     read-only. *)
 
+val width : int
+(** 62: the most destinations one {!sweep} builds, one bit each of a
+    non-negative int. *)
+
+type scratch
+(** The work arrays of one {!sweep} at a time, sized for one graph. *)
+
+val scratch : t -> scratch
+(** Fresh work arrays for sweeps over [t]'s graph.  A scratch belongs
+    to one caller at a time: a domain building tables needs its own,
+    and reuses it for every sweep it makes. *)
+
+val sweep :
+  t ->
+  scratch ->
+  int array ->
+  pos:int ->
+  len:int ->
+  emit:(int -> int -> int -> unit) ->
+  unit
+(** [sweep t sc dests ~pos ~len ~emit] builds the tables towards
+    [dests.(pos)], ..., [dests.(pos + len - 1)] ([0 <= len <= width])
+    in one bit-parallel BFS, bit [i] of a mask standing for
+    [dests.(pos + i)].  It calls [emit u mask s] when slot [s] (in
+    {!Graph.adjacency}) is [u]'s next hop towards every destination
+    whose bit is set in [mask] (never 0).  Each pair of a bit [i] and a
+    node [u <> dests.(pos + i)] that can reach that destination is in
+    exactly one call, and no other pair is in any, so a caller's cells
+    for a destination itself and for nodes that cannot reach it keep
+    whatever they held.  The hops are those of a one-destination
+    {!build}.  All the sweep's writes go to [sc] and through [emit],
+    so domains sharing [t] may sweep at once, each with its own
+    scratch.  Raises [Invalid_argument] on a bad range, a destination
+    outside the graph, or a scratch sized for another graph. *)
+
+val lowest_bit : int -> int
+(** [lowest_bit mask] is the index of the lowest set bit of a non-zero
+    [mask] from {!sweep}: a caller visits a mask's destinations by
+    taking it and clearing it ([mask land (mask - 1)]) in turn. *)
+
 val build : t -> int -> int array
 (** [build t dest] is a fresh per-node next-hop array towards [dest]
     ([-1] for [dest] itself and unreachable nodes). *)
-
-val fill :
-  t -> dist:int array -> queue:int array -> slots:int array -> int -> unit
-(** [fill t ~dist ~queue ~slots dest] is {!build} without allocation:
-    it writes into [slots.(u)] the slot (in {!Graph.adjacency}) of
-    [u]'s next hop towards [dest], or [-1], using [dist] and [queue] as
-    scratch.  Each array needs at least [Graph.n] entries.  A caller
-    building many tables reuses the three arrays, and reads a per-edge
-    column (such as {!costs}) at the chosen slot. *)
 
 val path : t -> src:int -> dest:int -> int list
 (** The full node sequence, [src] and [dest] included.  Raises

@@ -131,11 +131,9 @@ let fold_edges g ~init ~f =
 
 (* every node enters the queue at most once, so an [n]-slot int array
    with a head and a tail index is the whole queue *)
-let bfs_fill g ~dist ~queue s =
+let bfs_dist g s =
   check_endpoint g.n s;
-  if Array.length dist < g.n || Array.length queue < g.n then
-    invalid_arg "Graph.bfs_fill: scratch shorter than the node count";
-  Array.fill dist 0 g.n max_int;
+  let dist = Array.make g.n max_int and queue = Array.make g.n 0 in
   dist.(s) <- 0;
   queue.(0) <- s;
   let head = ref 0 and tail = ref 1 in
@@ -151,11 +149,7 @@ let bfs_fill g ~dist ~queue s =
         incr tail
       end
     done
-  done
-
-let bfs_dist g s =
-  let dist = Array.make g.n 0 in
-  bfs_fill g ~dist ~queue:(Array.make g.n 0) s;
+  done;
   dist
 
 let is_connected g =

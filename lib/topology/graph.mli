@@ -74,12 +74,6 @@ val bfs_dist : t -> int -> int array
 (** [bfs_dist g s] is the array of BFS distances from [s]; unreachable
     nodes get [max_int]. *)
 
-val bfs_fill : t -> dist:int array -> queue:int array -> int -> unit
-(** [bfs_fill g ~dist ~queue s] writes the distances of {!bfs_dist}
-    into the first [n g] entries of [dist], using [queue] (at least
-    [n g] entries) as scratch, so many searches can reuse two arrays
-    instead of allocating. *)
-
 val is_connected : t -> bool
 (** True when the graph has a single connected component (the empty graph
     is considered connected). *)

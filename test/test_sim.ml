@@ -152,9 +152,10 @@ let test_routing_deterministic () =
   Alcotest.(check (list int)) "stable" p1 p2
 
 (* Reference Int64 splitmix64, transcribed from the published
-   algorithm.  Rng implements the same generator on 32-bit halves in
-   native ints; this pins the two streams (raw draws, floats, bounded
-   ints across the rejection-sampling paths) against each other. *)
+   algorithm with a boxed [int64] state.  Rng keeps its state unboxed
+   and draws [bool] without dividing; this pins the two streams (raw
+   draws, floats, bools, bounded ints across the rejection-sampling
+   paths) against each other. *)
 module Rng_reference = struct
   type t = { mutable state : int64 }
 
@@ -213,8 +214,57 @@ let test_rng_matches_reference () =
               (Rng_reference.int ref_r ~bound)
               (Mvl.Rng.int r ~bound)
           done)
-        [ 1; 2; 7; 64; 1000; 0x40000000 - 1; 0x40000000; (1 lsl 53) + 7 ])
+        [ 1; 2; 7; 64; 1000; 0x40000000 - 1; 0x40000000; (1 lsl 53) + 7 ];
+      (* [bool] compares the draw with [p] scaled by 2^53 instead of
+         dividing the draw; both scalings are exact, so it must answer
+         [float < p] at every [p], the edges of the float range
+         included *)
+      List.iter
+        (fun p ->
+          let r = Mvl.Rng.create ~seed
+          and ref_r = Rng_reference.create ~seed in
+          for i = 1 to 300 do
+            Alcotest.(check bool)
+              (Printf.sprintf "bool p=%h draw %d (seed %d)" p i seed)
+              (Rng_reference.float ref_r < p)
+              (Mvl.Rng.bool r ~p)
+          done)
+        [ 0.0; 1.0; 0.5; Float.pred 1.0; 5e-324; -1.0; 2.0; infinity;
+          neg_infinity; nan ])
     [ 0; 1; 7; 123456789 ]
+
+(* a draw allocates nothing: the state stays an unboxed int64 *)
+let test_rng_allocates_nothing () =
+  if Sys.backend_type <> Sys.Native then
+    Alcotest.skip ()
+  else begin
+    let r = Mvl.Rng.create ~seed:3 in
+    let draws = 100_000 in
+    let words f =
+      let before = Gc.minor_words () in
+      f ();
+      Gc.minor_words () -. before
+    in
+    (* what measuring itself costs: the boxed float [minor_words]
+       returns *)
+    let overhead = words ignore in
+    let acc = ref 0 in
+    let ints =
+      words (fun () ->
+          for _ = 1 to draws do
+            acc := !acc + Mvl.Rng.int r ~bound:2047
+          done)
+    in
+    let bools =
+      words (fun () ->
+          for _ = 1 to draws do
+            if Mvl.Rng.bool r ~p:0.3 then incr acc
+          done)
+    in
+    ignore (Sys.opaque_identity !acc);
+    Alcotest.(check (float 0.0)) "Rng.int minor words" 0.0 (ints -. overhead);
+    Alcotest.(check (float 0.0)) "Rng.bool minor words" 0.0 (bools -. overhead)
+  end
 
 (* fixed-seed golden statistics, captured from the original list/Hashtbl
    engine before the zero-allocation rewrite: any drift in the packet
@@ -566,6 +616,111 @@ let prop_routing_matches_reference =
       done;
       true)
 
+(* the sweep driven directly: a random subset of the nodes in random
+   order, swept [width] destinations at a time (the last sweep short)
+   through one scratch, must give each reachable (u, dest <> u) exactly
+   one emission, from a slot of u's own row, whose hop is the
+   reference's; every other cell stays -1 *)
+let prop_sweep_matches_reference =
+  QCheck.Test.make ~count:200
+    ~name:"bit-parallel sweeps match the reference, one emission a cell"
+    QCheck.(
+      triple (int_bound 10_000) (option (int_bound 1_000_000))
+        (int_bound 1_000_000))
+    (fun (which, cost_seed, seed) ->
+      let graphs = Lazy.force small_graphs in
+      let g = graphs.(which mod Array.length graphs) in
+      let n = Mvl.Graph.n g in
+      let row = Mvl.Graph.row_offsets g and adj = Mvl.Graph.adjacency g in
+      let edge_cost =
+        Option.map
+          (fun seed u v -> (Hashtbl.hash (seed, u, v) mod 6) - 2)
+          cost_seed
+      in
+      let t = Mvl.Routing_table.create ?edge_cost g in
+      let st = Random.State.make [| seed |] in
+      let perm = Array.init n Fun.id in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int st (i + 1) in
+        let x = perm.(i) in
+        perm.(i) <- perm.(j);
+        perm.(j) <- x
+      done;
+      let width = 1 + Random.State.int st Mvl.Routing_table.width in
+      let k = 1 + Random.State.int st n in
+      (* keep the count off a multiple of the width, so the last sweep
+         is short (impossible at width 1) *)
+      let k = if k > 1 && k mod width = 0 then k - 1 else k in
+      let dests = Array.sub perm 0 k in
+      let cells = Array.init k (fun _ -> Array.make n (-1)) in
+      let sc = Mvl.Routing_table.scratch t in
+      let pos = ref 0 in
+      while !pos < k do
+        let base = !pos in
+        let len = min width (k - base) in
+        Mvl.Routing_table.sweep t sc dests ~pos:base ~len ~emit:(fun u mask s ->
+            if mask = 0 then QCheck.Test.fail_reportf "empty mask at %d" u;
+            if s < row.(u) || s >= row.(u + 1) then
+              QCheck.Test.fail_reportf "slot %d is not in row %d" s u;
+            let m = ref mask in
+            while !m <> 0 do
+              let i = Mvl.Routing_table.lowest_bit !m in
+              if i >= len then
+                QCheck.Test.fail_reportf "bit %d past a sweep of %d" i len;
+              if cells.(base + i).(u) >= 0 then
+                QCheck.Test.fail_reportf "(%d, %d) emitted twice" u
+                  dests.(base + i);
+              cells.(base + i).(u) <- adj.(s);
+              m := !m land (!m - 1)
+            done);
+        pos := base + len
+      done;
+      let reference =
+        reference_table
+          ~edge_cost:(Option.value edge_cost ~default:(fun _ _ -> 0))
+          g
+      in
+      Array.iteri
+        (fun i dest ->
+          if cells.(i) <> reference dest then
+            QCheck.Test.fail_reportf
+              "graph %d, width %d: table to %d differs" which width dest)
+        dests;
+      true)
+
+(* two triangles with no edge between them: nothing crosses, and
+   every engine that needs a crossing says so instead of looping *)
+let test_unreachable_components () =
+  let g =
+    Mvl.Graph.of_edges ~n:6
+      [ (0, 1); (1, 2); (0, 2); (3, 4); (4, 5); (3, 5) ]
+  in
+  let t = Mvl.Routing_table.create g in
+  Alcotest.(check (array int))
+    "table to 4" [| -1; -1; -1; 4; -1; 4 |]
+    (Mvl.Routing_table.build t 4);
+  Alcotest.(check (array int))
+    "table to 1" [| 1; -1; 1; -1; -1; -1 |]
+    (Mvl.Routing_table.build t 1);
+  Alcotest.check_raises "path across"
+    (Invalid_argument "Routing_table.path: unreachable") (fun () ->
+      ignore (Mvl.Routing_table.path t ~src:0 ~dest:4));
+  let config =
+    { Mvl.Network_sim.default_config with
+      Mvl.Network_sim.offered_load = 0.5; warmup = 10; measure = 50;
+      drain = 50 }
+  in
+  List.iter
+    (fun jobs ->
+      Alcotest.check_raises
+        (Printf.sprintf "run at jobs=%d" jobs)
+        (Invalid_argument "Network_sim.run: unreachable node") (fun () ->
+          ignore (Mvl.Network_sim.run ~config ~jobs g)))
+    [ 1; 2 ];
+  Alcotest.check_raises "zero-load walk"
+    (Invalid_argument "Network_sim.zero_load_latency: unreachable node")
+    (fun () -> ignore (Mvl.Network_sim.zero_load_latency g))
+
 (* [link_latency_of_layout] from two domains on one layout: the layout
    used to memoize its wire view in a [Lazy.t], and the domain that
    lost the race to force it raised [Lazy.Undefined] *)
@@ -655,6 +810,8 @@ let suite =
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng matches int64 reference" `Quick
       test_rng_matches_reference;
+    Alcotest.test_case "rng draws allocate nothing" `Quick
+      test_rng_allocates_nothing;
     Alcotest.test_case "golden: hypercube uniform" `Quick
       test_golden_hypercube_uniform;
     Alcotest.test_case "golden: kary transpose latencies" `Quick
@@ -691,6 +848,9 @@ let suite =
     Alcotest.test_case "routing table is domain-safe" `Quick
       test_routing_table_domain_safe;
     QCheck_alcotest.to_alcotest prop_routing_matches_reference;
+    QCheck_alcotest.to_alcotest prop_sweep_matches_reference;
+    Alcotest.test_case "unreachable components" `Quick
+      test_unreachable_components;
     Alcotest.test_case "layout latencies from two domains" `Quick
       test_layout_latency_two_domains;
     Alcotest.test_case "traffic destination sets" `Quick
