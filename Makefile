@@ -109,22 +109,31 @@ check: lint
 	dune exec bin/mvl_cli.exe -- sim hypercube:6 --load 0.1 --pattern bursty:tornado:8:25 --json | grep -q '"schema": "mvl.sim.run/1"'
 	# serve smoke: daemon on a temp socket, 4 parallel clients whose
 	# replies must cmp-equal the one-shot --json --stable document, the
-	# shared spec must cost exactly one pipeline build, then the quick
-	# serving benchmark (binaries invoked directly: concurrent `dune
-	# exec` would contend on the build lock)
-	MVL=./_build/default/bin/mvl_cli.exe; SOCK=/tmp/mvl-check-$$$$.sock; rm -f $$SOCK; \
-	$$MVL serve --socket $$SOCK & SRV=$$!; \
+	# shared spec must cost exactly one pipeline build, and the daemon,
+	# given the ignored --workers 2, must run one thread (one domain);
+	# then the quick serving benchmark (binaries invoked directly:
+	# concurrent `dune exec` would contend on the build lock).  set -e
+	# makes every check count, and the trap stops a daemon that a failed
+	# check left running (SRV is cleared once it has been reaped).
+	set -e; MVL=./_build/default/bin/mvl_cli.exe; SOCK=/tmp/mvl-check-$$$$.sock; SRV=; \
+	trap 'kill $$SRV 2> /dev/null || true; rm -f $$SOCK' EXIT; \
+	rm -f $$SOCK; \
+	$$MVL serve --socket $$SOCK --workers 2 & SRV=$$!; \
 	for i in $$(seq 50); do [ -S $$SOCK ] && break; sleep 0.1; done; [ -S $$SOCK ]; \
 	$$MVL layout hypercube:6 -l 4 --json --stable > CHECK_oneshot.json; \
 	pids=""; for i in 1 2 3 4; do \
 		$$MVL request layout hypercube:6 -l 4 --connect $$SOCK > CHECK_served_$$i.json & pids="$$pids $$!"; \
 	done; \
-	rc=0; for p in $$pids; do wait $$p || rc=1; done; [ $$rc -eq 0 ]; \
-	for i in 1 2 3 4; do cmp CHECK_oneshot.json CHECK_served_$$i.json || exit 1; done; \
+	for p in $$pids; do wait $$p; done; \
+	for i in 1 2 3 4; do cmp CHECK_oneshot.json CHECK_served_$$i.json; done; \
 	$$MVL request stats --connect $$SOCK > CHECK_stats.json; \
 	grep -q '"schema": "mvl.serve.stats/1"' CHECK_stats.json; \
 	sed -n '/"pipeline"/,/}/p' CHECK_stats.json | grep -q '"misses": 1,'; \
-	$$MVL request shutdown --connect $$SOCK > /dev/null; wait $$SRV; \
+	if [ -d /proc/$$SRV/task ]; then \
+		[ $$(ls /proc/$$SRV/task | wc -l) -eq 1 ] \
+		|| { echo "mvl serve must run one thread"; exit 1; }; \
+	fi; \
+	$$MVL request shutdown --connect $$SOCK > /dev/null; wait $$SRV; SRV=; \
 	rm -f CHECK_oneshot.json CHECK_served_*.json CHECK_stats.json
 	dune exec bench/main.exe -- serve --quick -o BENCH_serve_quick.json > /dev/null
 	grep -q '"schema": "mvl.bench.serve/1"' BENCH_serve_quick.json

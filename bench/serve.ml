@@ -328,7 +328,6 @@ let run ?(path = default_path) ?(quick = false) () =
       {
         Mvl_serve.Server.default_config with
         Mvl_serve.Server.addr = Mvl_serve.Server.Tcp ("127.0.0.1", 0);
-        workers = 2;
       }
   in
   let port = Mvl_serve.Server.port server in

@@ -910,7 +910,10 @@ let serve_cmd =
     Arg.(
       value & opt int 2
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Evaluation domains serving cache misses (>= 1).")
+          ~doc:
+            "Accepted so that existing command lines still parse, and \
+             ignored: the daemon runs one domain, whose event loop \
+             evaluates each cache miss itself.")
   in
   let cache_mb_arg =
     Arg.(
@@ -943,7 +946,7 @@ let serve_cmd =
       value & flag
       & info [ "log" ] ~doc:"One stderr line per connection/request event.")
   in
-  let run socket tcp workers cache_mb cache_entries idle_timeout max_pending
+  let run socket tcp _workers cache_mb cache_entries idle_timeout max_pending
       log =
     let addr =
       match tcp with
@@ -966,7 +969,6 @@ let serve_cmd =
     let config =
       {
         Mvl_serve.Server.addr;
-        workers = max 1 workers;
         cache_entries;
         cache_bytes = cache_mb * 1024 * 1024;
         max_pending;

@@ -20,9 +20,8 @@
     The cache is domain-safe: table accesses are serialized behind one
     mutex (held only for the lookup or insertion itself, never while a
     layout is being built) and the counters are atomics, so the
-    sweeps' {!Mvl_pool.Domain_pool} workers and the serve daemon
-    share one cache across all their workers and a resident layout is
-    handed out by reference.  Concurrent misses on the {e same} key are
+    sweeps' {!Mvl_pool.Domain_pool} workers share one cache and a
+    resident layout is handed out by reference.  Concurrent misses on the {e same} key are
     single-flighted: the first misser builds, the rest block on a
     per-key condition and receive the finished layout (counted in
     [coalesced], with [from_cache = true]); misses on distinct keys

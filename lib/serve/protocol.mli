@@ -59,5 +59,5 @@ val parse_reply : string -> (int * (Telemetry.json, string) result, string) resu
 
 val eval : op -> (string, string) result
 (** Computes the compact payload for a deterministic op — the single
-    evaluation path shared by the server's workers and the tests.
+    evaluation path shared by the server's event loop and the tests.
     [Stats]/[Shutdown] are server-side ops and return [Error] here. *)

@@ -5,7 +5,6 @@ type addr = Unix_sock of string | Tcp of string * int
 
 type config = {
   addr : addr;
-  workers : int;
   cache_entries : int;
   cache_bytes : int;
   max_pending : int;
@@ -16,7 +15,6 @@ type config = {
 let default_config =
   {
     addr = Unix_sock "/tmp/mvl.sock";
-    workers = 2;
     cache_entries = 1024;
     cache_bytes = 256 * 1024 * 1024;
     max_pending = 1024;
@@ -30,24 +28,20 @@ type client = {
   pending : string Ring_buffer.t;  (* complete reply lines, oldest first *)
   mutable out : string;            (* line currently being written *)
   mutable out_off : int;
-  mutable last_active : float;
+  mutable last_active : float;     (* monotonic seconds *)
   mutable alive : bool;
+  mutable eof : bool;              (* peer shut its write side *)
 }
-
-type job = { key : string; op : Protocol.op }
 
 type t = {
   config : config;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  (* owned by the event-loop domain only — no locks *)
   mutable clients : client list;
   reply_cache : (string, string) Mvl.Cache.t;
-  waiters : (string, (client * int) list ref) Hashtbl.t;
   mutable requests : int;
   mutable hits : int;
   mutable misses : int;
-  mutable coalesced : int;
   (* one-line parse memo: a pipelined client repeating a request sends
      byte-identical lines, and re-parsing them would dominate the
      cached-hit path *)
@@ -55,16 +49,7 @@ type t = {
   mutable memo_parsed :
     (Protocol.request * string option, string) result;
   mutable stop : bool;
-  mutable stop_at : float;
-  (* shared with the worker domains *)
-  jobs : job Queue.t;
-  jobs_mu : Mutex.t;
-  jobs_cond : Condition.t;
-  mutable stopping : bool;  (* under jobs_mu *)
-  done_q : (string * (string, string) result * float) Queue.t;
-  done_mu : Mutex.t;
-  wake_r : Unix.file_descr;
-  wake_w : Unix.file_descr;
+  mutable stop_at : float;  (* monotonic seconds *)
 }
 
 let log t fmt =
@@ -72,6 +57,10 @@ let log t fmt =
   else Printf.ifprintf stderr fmt
 
 let port t = t.bound_port
+
+(* seconds on the monotonic clock: a wall-clock step can neither fire
+   nor postpone the idle and shutdown timers *)
+let now () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
 
 let create config =
   let listen_fd, bound_port =
@@ -99,8 +88,6 @@ let create config =
         (fd, actual)
   in
   Unix.set_nonblock listen_fd;
-  let wake_r, wake_w = Unix.pipe () in
-  Unix.set_nonblock wake_r;
   {
     config;
     listen_fd;
@@ -109,73 +96,19 @@ let create config =
     reply_cache =
       Mvl.Cache.create ~max_bytes:(max 1 config.cache_bytes)
         ~capacity:(max 1 config.cache_entries) ();
-    waiters = Hashtbl.create 64;
     requests = 0;
     hits = 0;
     misses = 0;
-    coalesced = 0;
     memo_line = "";
     memo_parsed = Error "empty request";
     stop = false;
     stop_at = 0.0;
-    jobs = Queue.create ();
-    jobs_mu = Mutex.create ();
-    jobs_cond = Condition.create ();
-    stopping = false;
-    done_q = Queue.create ();
-    done_mu = Mutex.create ();
-    wake_r;
-    wake_w;
   }
 
-(* --- worker domains ---------------------------------------------------- *)
-
-let wake_byte = Bytes.make 1 '!'
-
-let worker t =
-  let rec next () =
-    let job =
-      Mutex.lock t.jobs_mu;
-      Fun.protect ~finally:(fun () -> Mutex.unlock t.jobs_mu) (fun () ->
-          let rec go () =
-            if t.stopping then None
-            else
-              match Queue.take_opt t.jobs with
-              | Some j -> Some j
-              | None ->
-                  Condition.wait t.jobs_cond t.jobs_mu;
-                  go ()
-          in
-          go ())
-    in
-    match job with
-    | None -> ()
-    | Some job ->
-        let t0 = Monotonic_clock.now () in
-        let result =
-          try Protocol.eval job.op
-          with e -> Error (Printexc.to_string e)
-        in
-        let ns = Int64.sub (Monotonic_clock.now ()) t0 in
-        let seconds =
-          if Int64.compare ns 0L < 0 then 0.0 else Int64.to_float ns *. 1e-9
-        in
-        Mutex.lock t.done_mu;
-        Fun.protect ~finally:(fun () -> Mutex.unlock t.done_mu) (fun () ->
-            Queue.push (job.key, result, seconds) t.done_q);
-        (try ignore (Unix.write t.wake_w wake_byte 0 1)
-         with Unix.Unix_error _ -> ());
-        next ()
-  in
-  next ()
-
-let push_job t job =
-  Mutex.lock t.jobs_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.jobs_mu) (fun () ->
-      Queue.push job t.jobs;
-      Condition.signal t.jobs_cond)
-
 (* --- client bookkeeping ------------------------------------------------ *)
+
+(* no reply queued or partly written *)
+let flushed c = c.out = "" && Ring_buffer.is_empty c.pending
 
 let disconnect t c =
   if c.alive then begin
@@ -189,7 +122,7 @@ let disconnect t c =
    the pending bound and is dropped instead of wedging the loop *)
 let enqueue_line t c line =
   if c.alive then begin
-    if c.out = "" && Ring_buffer.is_empty c.pending then begin
+    if flushed c then begin
       c.out <- line ^ "\n";
       c.out_off <- 0
     end
@@ -226,10 +159,15 @@ let refill_out c =
         c.out_off <- 0
   end
 
+(* a client that shut its write side is closed once no reply to it is
+   queued or partly written *)
+let close_if_done t c = if c.eof && flushed c then disconnect t c
+
 let rec flush_client t c =
   if c.alive then begin
     refill_out c;
-    if c.out <> "" then
+    if c.out = "" then close_if_done t c
+    else
       let len = String.length c.out - c.out_off in
       match Unix.write_substring c.fd c.out c.out_off len with
       | 0 -> ()
@@ -260,7 +198,6 @@ let stats_payload t =
          ("requests", Int t.requests);
          ("hits", Int t.hits);
          ("misses", Int t.misses);
-         ("coalesced", Int t.coalesced);
          ( "reply_cache",
            Obj
              [
@@ -297,6 +234,25 @@ let parse_memo t line =
     parsed
   end
 
+(* a miss is evaluated here and now, timed on the monotonic clock, and
+   its payload admitted into the reply cache (cost = measured seconds,
+   size = payload bytes — the GDSF inputs); an exception becomes an
+   error reply.  The client was waiting on the loop, not idle, so its
+   idle time starts when the answer is ready. *)
+let evaluate t c ~id key op =
+  t.misses <- t.misses + 1;
+  let t0 = now () in
+  let result = try Protocol.eval op with e -> Error (Printexc.to_string e) in
+  let t1 = now () in
+  c.last_active <- t1;
+  match result with
+  | Ok payload ->
+      ignore
+        (Mvl.Cache.add t.reply_cache key payload ~cost:(t1 -. t0)
+           ~size:(String.length payload));
+      enqueue_line t c (Protocol.encode_reply_ok ~id ~payload)
+  | Error msg -> enqueue_line t c (Protocol.encode_reply_error ~id msg)
+
 let handle_request t c line =
   t.requests <- t.requests + 1;
   match parse_memo t line with
@@ -308,7 +264,7 @@ let handle_request t c line =
             (Protocol.encode_reply_ok ~id ~payload:shutdown_payload);
           if not t.stop then begin
             t.stop <- true;
-            t.stop_at <- Unix.gettimeofday ();
+            t.stop_at <- now ();
             log t "shutdown requested"
           end
       | Protocol.Stats ->
@@ -320,17 +276,7 @@ let handle_request t c line =
           | Some payload ->
               t.hits <- t.hits + 1;
               enqueue_line t c (Protocol.encode_reply_ok ~id ~payload)
-          | None -> (
-              (* coalesce: one evaluation per key, shared by every
-                 waiter that arrives before it completes *)
-              match Hashtbl.find_opt t.waiters key with
-              | Some ws ->
-                  t.coalesced <- t.coalesced + 1;
-                  ws := (c, id) :: !ws
-              | None ->
-                  t.misses <- t.misses + 1;
-                  Hashtbl.replace t.waiters key (ref [ (c, id) ]);
-                  push_job t { key; op })))
+          | None -> evaluate t c ~id key op))
 
 (* a request line may not exceed this; protects the loop from a
    client streaming garbage with no newline *)
@@ -358,11 +304,20 @@ let process_lines t c =
 
 let read_chunk = Bytes.create 65536
 
+(* EOF stops the reading, not the replies: a client that shuts its
+   write side after its requests still gets every answer, the one to
+   a last line sent without its newline included *)
 let read_client t c =
   match Unix.read c.fd read_chunk 0 (Bytes.length read_chunk) with
-  | 0 -> disconnect t c
+  | 0 ->
+      c.eof <- true;
+      if Buffer.length c.inbuf > 0 then begin
+        Buffer.add_char c.inbuf '\n';
+        process_lines t c
+      end;
+      close_if_done t c
   | n ->
-      c.last_active <- Unix.gettimeofday ();
+      c.last_active <- now ();
       Buffer.add_subbytes c.inbuf read_chunk 0 n;
       process_lines t c
   | exception
@@ -386,8 +341,9 @@ let accept_new t =
           pending = Ring_buffer.create ~dummy:"" ();
           out = "";
           out_off = 0;
-          last_active = Unix.gettimeofday ();
+          last_active = now ();
           alive = true;
+          eof = false;
         }
       in
       t.clients <- c :: t.clients;
@@ -396,113 +352,66 @@ let accept_new t =
       Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) ->
       ()
 
-(* finished evaluations: admit into the reply cache (cost = measured
-   seconds, size = payload bytes — the GDSF inputs) and answer every
-   waiter of the key *)
-let drain_done t =
-  let drain_buf = Bytes.create 64 in
-  (try
-     while Unix.read t.wake_r drain_buf 0 64 > 0 do
-       ()
-     done
-   with
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
-  );
-  let items =
-    Mutex.lock t.done_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock t.done_mu) (fun () ->
-        let acc = ref [] in
-        while not (Queue.is_empty t.done_q) do
-          acc := Queue.pop t.done_q :: !acc
-        done;
-        List.rev !acc)
-  in
-  List.iter
-    (fun (key, result, seconds) ->
-      (match result with
-      | Ok payload ->
-          ignore
-            (Mvl.Cache.add t.reply_cache key payload ~cost:seconds
-               ~size:(String.length payload))
-      | Error _ -> ());
-      match Hashtbl.find_opt t.waiters key with
-      | None -> ()
-      | Some ws ->
-          Hashtbl.remove t.waiters key;
-          List.iter
-            (fun (c, id) ->
-              match result with
-              | Ok payload ->
-                  enqueue_line t c (Protocol.encode_reply_ok ~id ~payload)
-              | Error msg ->
-                  enqueue_line t c (Protocol.encode_reply_error ~id msg))
-            (List.rev !ws))
-    items
-
-let idle_scan t =
+(* run as [select] returns, before any request is read.  A build may
+   block the loop past [idle_timeout]; a client that sent a request
+   meanwhile is readable, and one still draining its replies is
+   writable, so neither is idle *)
+let idle_scan t rset wset =
   if t.config.idle_timeout > 0.0 then begin
-    let now = Unix.gettimeofday () in
+    let now = now () in
     List.iter
       (fun c ->
-        if c.alive && now -. c.last_active > t.config.idle_timeout then begin
+        if
+          c.alive
+          && now -. c.last_active > t.config.idle_timeout
+          && not (List.memq c.fd rset || List.memq c.fd wset)
+        then begin
           log t "idle timeout";
           disconnect t c
         end)
       t.clients
   end
 
-let all_flushed t =
-  List.for_all
-    (fun c -> c.out = "" && Ring_buffer.is_empty c.pending)
-    t.clients
+let all_flushed t = List.for_all flushed t.clients
 
 let serve t =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
-  let workers =
-    Array.init (max 1 t.config.workers) (fun _ ->
-        Domain.spawn (fun () -> worker t))
+  log t "listening";
+  (* the loop wakes at least this often, so an idle timeout under a
+     second still fires on time *)
+  let tick =
+    if t.config.idle_timeout > 0.0 then Float.min 1.0 t.config.idle_timeout
+    else 1.0
   in
-  log t "listening (%d workers)" (Array.length workers);
   let finished () =
-    t.stop
-    && (all_flushed t || Unix.gettimeofday () -. t.stop_at > 2.0)
+    t.stop && (all_flushed t || now () -. t.stop_at > 2.0)
   in
   while not (finished ()) do
     let snapshot = t.clients in
     let rds =
-      t.listen_fd :: t.wake_r :: List.map (fun c -> c.fd) snapshot
+      t.listen_fd
+      :: List.filter_map (fun c -> if c.eof then None else Some c.fd) snapshot
     in
     let wrs =
       List.filter_map
-        (fun c ->
-          if c.out <> "" || not (Ring_buffer.is_empty c.pending) then
-            Some c.fd
-          else None)
+        (fun c -> if flushed c then None else Some c.fd)
         snapshot
     in
-    match Unix.select rds wrs [] 1.0 with
+    match Unix.select rds wrs [] tick with
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | rset, wset, _ ->
-        if List.memq t.wake_r rset then drain_done t;
+        idle_scan t rset wset;
         if List.memq t.listen_fd rset then accept_new t;
         List.iter
           (fun c -> if c.alive && List.memq c.fd rset then read_client t c)
           snapshot;
         List.iter
           (fun c -> if c.alive && List.memq c.fd wset then flush_client t c)
-          snapshot;
-        idle_scan t
+          snapshot
   done;
-  Mutex.lock t.jobs_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.jobs_mu) (fun () ->
-      t.stopping <- true;
-      Condition.broadcast t.jobs_cond);
-  Array.iter Domain.join workers;
   List.iter (fun c -> disconnect t c) t.clients;
   (try Unix.close t.listen_fd with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_r with Unix.Unix_error _ -> ());
-  (try Unix.close t.wake_w with Unix.Unix_error _ -> ());
   (match t.config.addr with
   | Unix_sock path -> (
       try Unix.unlink path with Unix.Unix_error _ -> ())
