@@ -37,7 +37,8 @@ lint:
 	done; [ $$bad -eq 0 ] || { echo "lint: unprotected Mutex.lock in lib/"; exit 1; }
 	@echo "lint: ok"
 
-# what CI runs: full build, test suite, the benchmark's smoke test,
+# what CI runs: full build, its profile (cross-module inlining and the
+# strict warning set), test suite, the benchmark's smoke test,
 # and a CLI smoke pass (list + one validated layout + a malformed spec
 # that must fail + malformed wormhole fabrics that must exit 2 + the
 # --json/bench-emit telemetry surfaces, which self-validate + --jobs N
@@ -46,6 +47,12 @@ lint:
 # untracked scratch file, so a run leaves the tracked tree as it was.
 check: lint
 	dune build @all
+	# dune-workspace's release profile: modules are not compiled -opaque,
+	# so Int_ring's bodies must reach its callers for inlining, and the
+	# root dune file's restated warning set must still be in the flags
+	ocamlobjinfo _build/default/lib/core/.mvl_ring.objs/native/mvl_ring__Int_ring.cmx | grep -q 'push.*(inline)'
+	dune printenv . | grep -q -- '-strict-sequence'
+	dune printenv . | grep -qF -- '@1..3@5..28@30..39@43@46..47@49..57@61..62-40'
 	dune runtest
 	python3 perfbench/test_smoke.py
 	dune exec bin/mvl_cli.exe -- list > /dev/null
